@@ -29,7 +29,6 @@ from .protocol import (
     adversary_emit,
     eta,
     honest_round,
-    honest_step,
 )
 from .scenario_io import LoadedScenario, build_template, dump_scenario, load_scenario_file, parse_scenario_text, scenario_digest
 from .simulator import RunResult, Scenario, run
@@ -66,7 +65,6 @@ __all__ = [
     "eta",
     "fuse_estimates",
     "honest_round",
-    "honest_step",
     "load_scenario_file",
     "lyapunov_v",
     "make_redundant_ensemble",

@@ -105,10 +105,8 @@ def cge_f(vectors, f: int) -> Point:
         raise ValueError("cannot aggregate non-finite vectors")
     norms = np.sqrt((arr * arr).sum(axis=1))
     order = np.argsort(norms, kind="stable")
-    out = arr[order[0]].copy()
-    for idx in order[1 : n - f]:
-        np.add(out, arr[idx], out=out)
-    return out
+    # accumulate adds row by row; sum(axis=0) would sum pairwise and change bits
+    return np.add.accumulate(arr[order[: n - f]], axis=0)[-1]
 
 
 def fuse_estimates(own: float, received, f: int) -> float:

@@ -4,8 +4,10 @@ An honest agent's round has a fixed shape: fuse the received estimates with
 its own (coordinate-wise trim then average), filter the n gradients (its
 own plus the n-1 received) by eliminating the f largest norms and summing
 the rest, take a step against the filtered gradient, and clamp back into
-the box. Faulty agents are free of any such shape; they may send each
-receiver a different, arbitrary (estimate, gradient) pair, and the concrete
+the box. The agent reads its round from two (n, d) arrays indexed by
+sender id, with its own estimate and gradient in its own row. Faulty
+agents are free of any such shape; they may send each receiver a
+different, arbitrary (estimate, gradient) pair, and the concrete
 strategies below are omniscient within the round: they see every honest
 estimate and gradient of round t before emitting.
 
@@ -27,10 +29,9 @@ Randomized strategies draw from a stream keyed by (seed, round, sender,
 receiver), so a message is a pure function of those coordinates.
 """
 
-from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +61,7 @@ class ObservedRound:
     gradients: np.ndarray  # (honest count, d), same order
     box: Hypercube
     zeta: float
+    _pulls: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def estimate_mean(self) -> Point:
@@ -72,6 +74,21 @@ class ObservedRound:
     @cached_property
     def estimate_median(self) -> Point:
         return np.median(self.estimates, axis=0)
+
+    def colluding_pull(self, target: Point) -> Point:
+        """(honest mean estimate - target) rescaled to norm zeta, or 0 at the target.
+
+        Computed once per target: every colluding message of the round
+        carries the same pull.
+        """
+        key = target.tobytes()
+        pull = self._pulls.get(key)
+        if pull is None:
+            pull = self.estimate_mean - target
+            norm = float(np.linalg.norm(pull))
+            pull = (self.zeta / norm) * pull if norm > 0.0 else np.zeros(self.box.d)
+            self._pulls[key] = pull
+        return pull
 
 
 class RoundOutcome(NamedTuple):
@@ -189,9 +206,7 @@ def adversary_emit(
         return RoundMessage(estimate, grad)
 
     # collude_target
-    pull = observed.estimate_mean - strategy.target
-    norm = float(np.linalg.norm(pull))
-    grad = (zeta / norm) * pull if norm > 0.0 else np.zeros(box.d)
+    grad = observed.colluding_pull(strategy.target)
     if strategy.estimates == "random_in_box":
         estimate = rng.uniform(-box.xi, box.xi, size=box.d)
     else:
@@ -201,67 +216,44 @@ def adversary_emit(
 
 def honest_round(
     state: HonestAgentState,
-    inbox: Mapping[int, RoundMessage],
+    estimates: np.ndarray,
+    gradients: np.ndarray,
     eta_t: float,
     f: int,
     box: Hypercube,
-    own_grad: Point | None = None,
 ) -> RoundOutcome:
     """One honest agent's full round: fuse, filter, step, project.
 
-    `inbox` holds the n-1 messages of a synchronous round, keyed by sender.
-    `own_grad`, when given, must equal state.cost.gradient(state.estimate);
-    the round engine passes the value it already broadcast.
+    `estimates` and `gradients` are the round's (n, d) inbox indexed by
+    sender id. Row `state.id` holds the agent's own estimate and gradient;
+    every other row is the message that sender gave this agent.
 
-    Degenerate cases: a single-agent system (empty inbox, f = 0) reduces to
-    plain projected gradient descent, and at the minimum system size
-    n = 2f + 1 the trim discards all n-1 received values, so the fusion
-    keeps only the agent's own estimate.
+    Degenerate cases: a single-agent system (n = 1, f = 0) reduces to plain
+    projected gradient descent, and at the minimum system size n = 2f + 1
+    the trim discards all n-1 received values, so the fusion keeps only the
+    agent's own estimate.
     """
-    x = state.estimate
-    d = x.size
-    senders = sorted(inbox)
-    n = len(senders) + 1
+    me = state.id
+    d = state.estimate.size
+    estimates = np.asarray(estimates, dtype=np.float64)
+    gradients = np.asarray(gradients, dtype=np.float64)
     if f < 0:
         raise ValueError(f"fault count must be non-negative, got {f}")
-    if state.id in inbox:
-        raise ValueError(f"agent {state.id}: inbox contains a message from itself")
+    if estimates.ndim != 2 or estimates.shape[1] != d or gradients.shape != estimates.shape:
+        raise ValueError(f"agent {me}: inbox shapes {estimates.shape} and {gradients.shape} are not both (n, {d})")
+    n = estimates.shape[0]
+    if not 0 <= me < n:
+        raise ValueError(f"agent {me}: inbox has no row for its own id among {n} senders")
     if n - 1 < 2 * f:
-        raise ValueError(f"agent {state.id}: {n - 1} received messages cannot be trimmed with f = {f}")
+        raise ValueError(f"agent {me}: {n - 1} received messages cannot be trimmed with f = {f}")
 
-    if own_grad is None:
-        own_grad = state.cost.gradient(x)
-    if n == 1:
-        fused = x.copy()
-        filtered = cge_f(own_grad[None, :], 0)
-    else:
-        received = np.empty((n - 1, d))
-        all_grads = np.empty((n, d))
-        slot = bisect_left(senders, state.id)
-        all_grads[slot] = own_grad
-        for row, j in enumerate(senders):
-            msg = inbox[j]
-            if msg.estimate.size != d or msg.grad.size != d:
-                raise ValueError(f"agent {state.id}: message from {j} has wrong dimension")
-            received[row] = msg.estimate
-            all_grads[row if row < slot else row + 1] = msg.grad
-        # fused estimate: per coordinate, trim f from each end of the
-        # received values, then average the survivors with our own value
-        kept = np.sort(received, axis=0)[f : n - 1 - f]
-        fused = np.concatenate((x[None, :], kept), axis=0).mean(axis=0)
-        # gradients enter elimination in agent-id order, ours in its own slot
-        filtered = cge_f(all_grads, f)
+    # fused estimate: per coordinate, trim f from each end of the received
+    # values (every row but ours), then average the survivors with our own
+    received = np.concatenate((estimates[:me], estimates[me + 1 :]))
+    kept = np.sort(received, axis=0)[f : n - 1 - f]
+    fused = np.concatenate((estimates[me : me + 1], kept)).mean(axis=0)
+    # gradients enter elimination in agent-id order, ours in its own slot
+    filtered = cge_f(gradients, f)
 
     stepped = fused - eta_t * filtered
     return RoundOutcome(np.clip(stepped, -box.xi, box.xi), fused, filtered)
-
-
-def honest_step(
-    state: HonestAgentState,
-    inbox: Mapping[int, RoundMessage],
-    eta_t: float,
-    f: int,
-    box: Hypercube,
-) -> Point:
-    """The next estimate of an honest agent; see `honest_round`."""
-    return honest_round(state, inbox, eta_t, f, box).estimate

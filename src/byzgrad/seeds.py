@@ -64,7 +64,11 @@ class CounterStream:
         self.purpose = purpose
         self._bitgen = np.random.Philox(np.random.SeedSequence(0))
         self._gen = np.random.Generator(self._bitgen)
+        # built once; `at` rewrites only the counter words before each re-key
+        self._state = _keyed_state(seed, purpose, ())
+        self._counter = self._state["state"]["counter"]
 
     def at(self, *counter: int) -> np.random.Generator:
-        self._bitgen.state = _keyed_state(self.seed, self.purpose, counter)
+        self._counter[:] = _counter_words(counter)
+        self._bitgen.state = self._state
         return self._gen

@@ -3,10 +3,17 @@
 A run is two-phase per round: first every message of round t is
 materialized (honest agents broadcast one (estimate, gradient) pair to
 everyone; faulty agents emit a possibly different pair per receiver), then
-every honest agent applies its update. Nothing about the schedule, the
-metrics stride, or the adversary's strategy can leak randomness across
-consumers: all draws come from substreams keyed by purpose and round, so a
-scenario (including its seed) maps to exactly one trajectory, bit for bit.
+every honest agent applies its update. Messages live in preallocated
+arrays: id-indexed (n, d) inbox buffers, filled once per round with the
+honest rows, and (faulty, honest, d) blocks of faulty messages, whose
+column for one receiver is copied into the faulty rows of the inbox
+buffers just before that receiver updates. Faulty messages are admitted
+by one vectorised check per round.
+
+Nothing about the schedule, the metrics stride, or the adversary's
+strategy can leak randomness across consumers: all draws come from
+substreams keyed by purpose and round, so a scenario (including its seed)
+maps to exactly one trajectory, bit for bit.
 
 Runs never refuse theoretically doomed configurations. A non-positive
 fault-tolerance margin or a failed redundancy check is reported as a
@@ -20,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import CostEnsemble, SpectralConstants, aggregate_minimizer, check_redundancy_sufficient, spectral_constants
-from .errors import SimulationAbort
+from .errors import ConfigError, SimulationAbort
 from .filters import Hypercube, Point, as_point
 from .metrics import RoundTrace, check_zeta, consensus_diameter, lyapunov_v, max_distance
 from .protocol import (
@@ -28,7 +35,6 @@ from .protocol import (
     AdversaryStrategy,
     HonestAgentState,
     ObservedRound,
-    RoundMessage,
     StepSchedule,
     adversary_emit,
     eta,
@@ -124,19 +130,33 @@ def _initial_estimates(scenario: Scenario, honest_ids: list[int]) -> dict[int, P
     }
 
 
-def _admit(msg: RoundMessage, t: int, sender: int, receiver: int, d: int) -> RoundMessage:
-    est = np.asarray(msg.estimate, dtype=np.float64)
-    grad = np.asarray(msg.grad, dtype=np.float64)
-    if est.shape != (d,) or grad.shape != (d,):
-        raise SimulationAbort(t, f"message {sender}->{receiver} has wrong dimension")
-    for name, vec in (("estimate", est), ("gradient", grad)):
-        # NaN fails the <= comparison, so one test covers both conditions
-        if not (np.abs(vec) <= MESSAGE_COORD_LIMIT).all():
-            raise SimulationAbort(
-                t,
-                f"{name} from agent {sender} to {receiver} exceeds the admission bound {MESSAGE_COORD_LIMIT:g}",
-            )
-    return RoundMessage(est, grad)
+def _admit(
+    t: int,
+    estimates: np.ndarray,
+    gradients: np.ndarray,
+    faulty_ids: list[int],
+    honest_ids: list[int],
+    count: int | None = None,
+) -> None:
+    """Abort on the first faulty message with a coordinate beyond the admission bound.
+
+    `estimates` and `gradients` are (faulty, honest, d) blocks; messages are
+    taken in (sender, receiver) order, the estimate before the gradient,
+    and only the first `count` are checked when it is given.
+    """
+    d = estimates.shape[-1]
+    # NaN fails the <= comparison, so one test covers both conditions
+    est_ok, grad_ok = (
+        (np.abs(block.reshape(-1, d)[:count]) <= MESSAGE_COORD_LIMIT).all(axis=1) for block in (estimates, gradients)
+    )
+    bad = ~(est_ok & grad_ok)
+    if bad.any():
+        k = int(np.argmax(bad))
+        sender, receiver = faulty_ids[k // len(honest_ids)], honest_ids[k % len(honest_ids)]
+        name = "gradient" if est_ok[k] else "estimate"
+        raise SimulationAbort(
+            t, f"{name} from agent {sender} to {receiver} exceeds the admission bound {MESSAGE_COORD_LIMIT:g}"
+        )
 
 
 def run(scenario: Scenario) -> RunResult:
@@ -149,6 +169,12 @@ def run(scenario: Scenario) -> RunResult:
     """
     started = time.perf_counter()
     box = scenario.box
+    # first, so a scenario without a unique honest minimizer is refused
+    # before the constants divide by its zero curvature
+    try:
+        x_star = aggregate_minimizer(scenario.ensemble)
+    except ValueError as exc:
+        raise ConfigError(f"honest costs have no unique minimizer: {exc}") from exc
     constants = spectral_constants(scenario.ensemble, scenario.f, box)
     warnings: list[str] = []
     try:
@@ -156,7 +182,6 @@ def run(scenario: Scenario) -> RunResult:
     except ValueError as exc:
         redundancy_ok = False
         warnings.append(f"redundancy check not applicable: {exc}")
-    x_star = aggregate_minimizer(scenario.ensemble)
     if not box.contains(x_star):
         warnings.append("honest aggregate minimizer lies outside the box; projection will bias the runs")
     if constants.alpha <= 0.0:
@@ -178,37 +203,46 @@ def run(scenario: Scenario) -> RunResult:
     horizon = scenario.horizon
     trace: list[RoundTrace] = []
     adversary_stream = CounterStream(scenario.adversary.seed, PURPOSE_ADVERSARY)
+    d = scenario.d
+    honest_rows = np.array(honest_ids, dtype=np.intp)
+    faulty_rows = np.array(faulty_ids, dtype=np.intp)
+    inbox_est = np.empty((scenario.n, d))
+    inbox_grad = np.empty((scenario.n, d))
+    faulty_est = np.empty((len(faulty_ids), len(honest_ids), d))
+    faulty_grad = np.empty_like(faulty_est)
 
     for t in range(horizon + 1):
         eta_t = eta(scenario.schedule, t)
-        estimates = {i: states[i].estimate for i in honest_ids}
-        gradients = {i: states[i].cost.gradient(states[i].estimate) for i in honest_ids}
-
-        est_matrix = np.stack([estimates[i] for i in honest_ids])
-        grad_matrix = np.stack([gradients[i] for i in honest_ids])
+        for i in honest_ids:
+            inbox_est[i] = states[i].estimate
+            inbox_grad[i] = states[i].cost.gradient(states[i].estimate)
+        est_matrix = inbox_est[honest_rows]
+        grad_matrix = inbox_grad[honest_rows]
         if not np.isfinite(grad_matrix).all():
             raise SimulationAbort(t, "an honest gradient overflowed")
 
-        # phase 1: materialize every message of round t
+        # phase 1: materialize every faulty message of round t
         observed = ObservedRound(est_matrix, grad_matrix, box, constants.zeta)
-        broadcast = {j: RoundMessage(estimates[j], gradients[j]) for j in honest_ids}
-        faulty_msgs = {
-            (s, r): _admit(
-                adversary_emit(scenario.adversary, t, s, r, observed, stream=adversary_stream),
-                t, s, r, scenario.d,
-            )
-            for s in faulty_ids
-            for r in honest_ids
-        }
+        for a, s in enumerate(faulty_ids):
+            for b, r in enumerate(honest_ids):
+                est, grad = adversary_emit(scenario.adversary, t, s, r, observed, stream=adversary_stream)
+                # a wrong-shape message must not broadcast into its slot;
+                # earlier messages are judged first, keeping the report in order
+                if np.shape(est) != (d,) or np.shape(grad) != (d,):
+                    _admit(t, faulty_est, faulty_grad, faulty_ids, honest_ids, count=a * len(honest_ids) + b)
+                    raise SimulationAbort(t, f"message {s}->{r} has wrong dimension")
+                faulty_est[a, b] = est
+                faulty_grad[a, b] = grad
+        _admit(t, faulty_est, faulty_grad, faulty_ids, honest_ids)
 
-        # phase 2: every honest agent updates on its complete inbox
+        # phase 2: every honest agent updates on its complete inbox; only
+        # the faulty rows differ between receivers
         outcomes = {}
-        for i in honest_ids:
-            inbox = {j: broadcast[j] for j in honest_ids if j != i}
-            for s in faulty_ids:
-                inbox[s] = faulty_msgs[(s, i)]
+        for b, i in enumerate(honest_ids):
+            inbox_est[faulty_rows] = faulty_est[:, b]
+            inbox_grad[faulty_rows] = faulty_grad[:, b]
             try:
-                outcomes[i] = honest_round(states[i], inbox, eta_t, scenario.f, box, own_grad=gradients[i])
+                outcomes[i] = honest_round(states[i], inbox_est, inbox_grad, eta_t, scenario.f, box)
             except ValueError as exc:
                 raise SimulationAbort(t, f"agent {i}: {exc}") from exc
 

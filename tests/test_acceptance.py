@@ -19,7 +19,6 @@ from byzgrad import (
     Hypercube,
     HonestAgentState,
     QuadraticCost,
-    RoundMessage,
     cge_f,
     fuse_estimates,
     honest_round,
@@ -144,11 +143,9 @@ def test_criterion_3_fault_free_reduction(scenario_c):
     for _ in range(200):
         x = rng.uniform(-box.xi, box.xi, size=box.d)
         state = HonestAgentState(id=0, estimate=x.copy(), cost=ensemble.costs[0])
-        inbox = {
-            j: RoundMessage(x.copy(), ensemble.costs[j].gradient(x))
-            for j in range(1, ensemble.n)
-        }
-        outcome = honest_round(state, inbox, 0.01, 0, box)
+        estimates = np.tile(x, (ensemble.n, 1))
+        gradients = np.stack([ensemble.costs[j].gradient(x) for j in range(ensemble.n)])
+        outcome = honest_round(state, estimates, gradients, 0.01, 0, box)
         total = sum(ensemble.costs[j].gradient(x) for j in range(ensemble.n))
         worst = max(worst, float(np.abs(outcome.filtered_gradient - total).max()))
     direction_ok = worst <= 1e-12

@@ -15,6 +15,17 @@ def small_scenario(tmp_path):
     return path
 
 
+@pytest.fixture()
+def singular_scenario(tmp_path):
+    # all-zero Hessians: the honest sum has no unique minimizer
+    mapping = build_template("violated_redundancy", horizon=20)
+    for cost in mapping["ensemble"]["costs"]:
+        cost["A"] = [[0.0]]
+    path = tmp_path / "singular.yaml"
+    path.write_text(dump_scenario(mapping))
+    return path
+
+
 def read_summary(out_dir):
     return json.loads((out_dir / "summary.json").read_text())
 
@@ -75,6 +86,12 @@ class TestRun:
         path.write_text(dump_scenario(mapping))
         assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 2
         assert "n >= 2f+1" in capsys.readouterr().err
+
+    def test_singular_honest_sum_exits_2(self, singular_scenario, tmp_path, capsys):
+        assert main(["run", str(singular_scenario), "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no unique minimizer" in err
+        assert err.count("\n") == 1
 
     def test_abort_exits_3(self, tmp_path, capsys):
         text = """\
@@ -213,3 +230,10 @@ class TestSweep:
 
     def test_bad_sweep_spec(self, sweep_base, tmp_path, capsys):
         assert main(["run", str(sweep_base), "-o", str(tmp_path / "x"), "--sweep", "nonsense"]) == 2
+
+    def test_singular_points_recorded_as_config_errors(self, singular_scenario, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["run", str(singular_scenario), "-o", str(out), "--sweep", "seed=1..2", "--jobs", "2"]) == 2
+        index = json.loads((out / "index.json").read_text())
+        assert [p["status"] for p in index["points"]] == ["config_error", "config_error"]
+        assert all("no unique minimizer" in p["error"] for p in index["points"])

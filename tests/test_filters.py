@@ -155,6 +155,20 @@ class TestCge:
             vectors = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-2, 3)
             assert np.array_equal(cge_f(vectors, f), cge_oracle(vectors, f))
 
+    def test_sums_survivors_sequentially_in_norm_order(self):
+        # numpy's pairwise summation regroups long sums and changes the last
+        # bits for mixed magnitudes; elimination must add one survivor at a time
+        rng = np.random.default_rng(2101)
+        for _ in range(300):
+            n = int(rng.integers(2, 121))
+            f = int(rng.integers(0, n))
+            vectors = rng.normal(size=(n, 1)) * 10.0 ** rng.integers(-6, 7, size=(n, 1))
+            order = np.argsort(np.abs(vectors[:, 0]), kind="stable")
+            total = 0.0
+            for i in order[: n - f]:
+                total += float(vectors[i, 0])
+            assert cge_f(vectors, f)[0] == total
+
     def test_permutation_invariant_for_distinct_norms(self):
         # the kept set and its norm-ascending summation order are both
         # permutation-independent, so outputs match bit for bit

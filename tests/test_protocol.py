@@ -14,7 +14,6 @@ from byzgrad import (
     eta,
     fuse_estimates,
     honest_round,
-    honest_step,
     project_box,
 )
 from byzgrad.seeds import CounterStream, PURPOSE_ADVERSARY
@@ -42,6 +41,22 @@ def reference_step(state, inbox, eta_t, f, box):
     ]
     filtered = cge_f(np.stack(grads), f)
     return project_box(fused - eta_t * filtered, box)
+
+
+def inbox_arrays(state, inbox):
+    """The id-indexed (n, d) estimates and gradients for a sender-keyed inbox.
+
+    Senders and the agent must cover the ids 0..n-1; the agent's own row
+    holds its estimate and the gradient of its cost there.
+    """
+    estimates = np.empty((len(inbox) + 1, state.estimate.size))
+    gradients = np.empty_like(estimates)
+    estimates[state.id] = state.estimate
+    gradients[state.id] = state.cost.gradient(state.estimate)
+    for j, msg in inbox.items():
+        estimates[j] = msg.estimate
+        gradients[j] = msg.grad
+    return estimates, gradients
 
 
 class TestStepSchedule:
@@ -88,7 +103,7 @@ class TestHonestStep:
         cost = QuadraticCost(A=np.eye(d), b=c)
         state = HonestAgentState(id=0, estimate=c.copy(), cost=cost)
         inbox = {j: RoundMessage(c.copy(), np.zeros(d)) for j in (1, 2, 3)}
-        out = honest_step(state, inbox, 0.7, 0, Hypercube(5.0, d))
+        out = honest_round(state, *inbox_arrays(state, inbox), 0.7, 0, Hypercube(5.0, d)).estimate
         assert np.array_equal(out, c)
 
     def test_fusion_trims_then_gradient_steps(self):
@@ -98,7 +113,7 @@ class TestHonestStep:
             2: RoundMessage(np.array([2.0]), np.zeros(1)),
             3: RoundMessage(np.array([100.0]), np.zeros(1)),
         }
-        out = honest_step(state, inbox, 1.0, 1, Hypercube(10.0, 1))
+        out = honest_round(state, *inbox_arrays(state, inbox), 1.0, 1, Hypercube(10.0, 1)).estimate
         assert out[0] == 1.0
 
     def test_matches_reference_composition(self):
@@ -120,23 +135,10 @@ class TestHonestStep:
                 if j != me
             }
             eta_t = float(rng.uniform(0.01, 1.0))
-            got = honest_step(state, inbox, eta_t, f, box)
+            got = honest_round(state, *inbox_arrays(state, inbox), eta_t, f, box).estimate
             want = reference_step(state, inbox, eta_t, f, box)
             assert np.allclose(got, want, rtol=0, atol=1e-12)
             assert (np.abs(got) <= box.xi).all()
-
-    def test_own_grad_shortcut_is_exact(self):
-        rng = np.random.default_rng(13)
-        d = 3
-        m = rng.normal(size=(d, d))
-        cost = QuadraticCost(A=m @ m.T, b=rng.normal(size=d))
-        state = HonestAgentState(id=2, estimate=rng.uniform(-2, 2, size=d), cost=cost)
-        inbox = {j: RoundMessage(rng.uniform(-3, 3, size=d), rng.normal(size=d)) for j in (0, 1, 3, 4)}
-        box = Hypercube(4.0, d)
-        plain = honest_round(state, inbox, 0.3, 1, box)
-        primed = honest_round(state, inbox, 0.3, 1, box, own_grad=cost.gradient(state.estimate))
-        assert np.array_equal(plain.estimate, primed.estimate)
-        assert np.array_equal(plain.filtered_gradient, primed.filtered_gradient)
 
     def test_reduces_to_summed_gradient_descent_when_fault_free(self):
         # identical estimates, f = 0: the update direction is exactly the
@@ -154,7 +156,7 @@ class TestHonestStep:
             eta_t = 0.05
             state = HonestAgentState(id=0, estimate=x.copy(), cost=costs[0])
             inbox = {j: RoundMessage(x.copy(), costs[j].gradient(x)) for j in range(1, n)}
-            outcome = honest_round(state, inbox, eta_t, 0, box)
+            outcome = honest_round(state, *inbox_arrays(state, inbox), eta_t, 0, box)
             # averaging n identical values is identity up to one rounding step
             assert np.abs(outcome.fused - x).max() <= 1e-12
             total = sum(costs[j].gradient(x) for j in range(n))
@@ -165,7 +167,7 @@ class TestHonestStep:
     def test_single_agent_degenerates_to_projected_descent(self):
         cost = QuadraticCost(A=np.eye(1), b=np.zeros(1))
         state = HonestAgentState(id=0, estimate=np.array([1.0]), cost=cost)
-        out = honest_step(state, {}, 0.5, 0, Hypercube(1.0, 1))
+        out = honest_round(state, *inbox_arrays(state, {}), 0.5, 0, Hypercube(1.0, 1)).estimate
         assert out[0] == 0.5
 
     def test_stays_in_box_under_hostile_inbox(self):
@@ -179,7 +181,7 @@ class TestHonestStep:
                 j: RoundMessage(rng.normal(size=d) * 10.0 ** rng.integers(0, 10), rng.normal(size=d) * 100)
                 for j in range(1, 6)
             }
-            out = honest_step(state, inbox, float(rng.uniform(0, 2)), 2, box)
+            out = honest_round(state, *inbox_arrays(state, inbox), float(rng.uniform(0, 2)), 2, box).estimate
             assert (np.abs(out) <= box.xi).all()
 
     def test_pure(self):
@@ -190,27 +192,27 @@ class TestHonestStep:
             3: RoundMessage(np.array([0.0, 0.0]), np.array([0.0, 0.1])),
         }
         box = Hypercube(3.0, 2)
-        assert np.array_equal(
-            honest_step(state, inbox, 0.25, 1, box), honest_step(state, inbox, 0.25, 1, box)
-        )
+        first = honest_round(state, *inbox_arrays(state, inbox), 0.25, 1, box)
+        second = honest_round(state, *inbox_arrays(state, inbox), 0.25, 1, box)
+        assert np.array_equal(first.estimate, second.estimate)
 
     def test_malformed_inbox_names_the_agent(self):
         state = HonestAgentState(id=4, estimate=np.zeros(1), cost=zero_cost(1))
+        box = Hypercube(1.0, 1)
+        # four received messages cannot be trimmed with f = 3
         with pytest.raises(ValueError, match="agent 4"):
-            honest_step(state, {1: RoundMessage(np.zeros(1), np.zeros(1))}, 0.1, 1, Hypercube(1.0, 1))
+            honest_round(state, np.zeros((5, 1)), np.zeros((5, 1)), 0.1, 3, box)
+        # no row for the agent's own id
         with pytest.raises(ValueError, match="agent 4"):
-            honest_step(
-                state,
-                {4: RoundMessage(np.zeros(1), np.zeros(1)), 1: RoundMessage(np.zeros(1), np.zeros(1)), 2: RoundMessage(np.zeros(1), np.zeros(1))},
-                0.1,
-                0,
-                Hypercube(1.0, 1),
-            )
+            honest_round(state, np.zeros((3, 1)), np.zeros((3, 1)), 0.1, 0, box)
+        # gradients of another dimension than the estimates
+        with pytest.raises(ValueError, match="agent 4"):
+            honest_round(state, np.zeros((5, 1)), np.zeros((5, 2)), 0.1, 0, box)
 
     def test_lone_agent_with_positive_f_rejected(self):
         state = HonestAgentState(id=0, estimate=np.zeros(1), cost=zero_cost(1))
         with pytest.raises(ValueError):
-            honest_step(state, {}, 0.1, 1, Hypercube(1.0, 1))
+            honest_round(state, *inbox_arrays(state, {}), 0.1, 1, Hypercube(1.0, 1)).estimate
 
 
 class TestAdversaries:

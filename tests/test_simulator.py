@@ -6,6 +6,7 @@ from byzgrad import (
     AdversaryStrategy,
     CostEnsemble,
     QuadraticCost,
+    RoundMessage,
     Scenario,
     SimulationAbort,
     StepSchedule,
@@ -189,9 +190,9 @@ class TestConservation:
         calls = []
         real = byzgrad.simulator.honest_round
 
-        def counting(state, inbox, eta_t, f, box, own_grad=None):
-            calls.append((state.id, len(inbox)))
-            return real(state, inbox, eta_t, f, box, own_grad=own_grad)
+        def counting(state, estimates, gradients, eta_t, f, box):
+            calls.append((state.id, len(estimates), len(gradients)))
+            return real(state, estimates, gradients, eta_t, f, box)
 
         monkeypatch.setattr(byzgrad.simulator, "honest_round", counting)
         horizon = 25
@@ -201,7 +202,7 @@ class TestConservation:
         # phase 2 runs once per honest agent per round, plus the final
         # metrics-only evaluation at t = horizon
         assert len(calls) == honest * (horizon + 1)
-        assert all(size == scenario.n - 1 for _, size in calls)
+        assert all(est_rows == grad_rows == scenario.n for _, est_rows, grad_rows in calls)
 
 
 class TestAdversaryMatrix:
@@ -249,3 +250,48 @@ class TestAdmissionGate:
         )
         with pytest.raises(SimulationAbort, match="round 0"):
             run(scenario)
+
+    @staticmethod
+    def run_with_messages(monkeypatch, replacements):
+        """Run a 10-agent scenario (faulty 8 and 9) whose faulty senders emit
+        `replacements[(round, sender, receiver)]` where given."""
+        real = byzgrad.simulator.adversary_emit
+
+        def emit(strategy, t, sender, receiver, observed, stream=None):
+            if (t, sender, receiver) in replacements:
+                return replacements[(t, sender, receiver)]
+            return real(strategy, t, sender, receiver, observed, stream=stream)
+
+        monkeypatch.setattr(byzgrad.simulator, "adversary_emit", emit)
+        run(redundant_scenario(horizon=10))
+
+    def test_nan_estimate_aborts_naming_the_message(self, monkeypatch):
+        bad = RoundMessage(np.array([0.0, np.nan, 0.0]), np.zeros(3))
+        with pytest.raises(SimulationAbort, match="round 3: estimate from agent 9 to 5 exceeds"):
+            self.run_with_messages(monkeypatch, {(3, 9, 5): bad})
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            RoundMessage(np.zeros(4), np.zeros(3)),
+            RoundMessage(np.zeros(3), np.float64(0.5)),
+        ],
+        ids=["estimate_of_d_plus_1", "scalar_gradient"],
+    )
+    def test_wrong_shape_aborts(self, monkeypatch, bad):
+        with pytest.raises(SimulationAbort, match="round 1: message 8->2 has wrong dimension"):
+            self.run_with_messages(monkeypatch, {(1, 8, 2): bad})
+
+    def test_first_bad_message_in_sender_receiver_order_is_reported(self, monkeypatch):
+        huge = np.full(3, 1e13)
+        replacements = {
+            (2, 9, 0): RoundMessage(np.zeros(3), huge),
+            (2, 8, 6): RoundMessage(huge, huge),
+            (2, 8, 7): RoundMessage(np.zeros(2), np.zeros(3)),
+        }
+        # 8->6 precedes 9->0 and the wrong-shape 8->7; its estimate precedes its gradient
+        with pytest.raises(SimulationAbort, match="round 2: estimate from agent 8 to 6 exceeds"):
+            self.run_with_messages(monkeypatch, replacements)
+        replacements[(2, 8, 6)] = RoundMessage(np.zeros(3), huge)
+        with pytest.raises(SimulationAbort, match="round 2: gradient from agent 8 to 6 exceeds"):
+            self.run_with_messages(monkeypatch, replacements)
