@@ -1,7 +1,8 @@
-"""Golden trajectories: sha256 of `trace.csv` for short runs through the CLI.
+"""Golden outputs: sha256 of `trace.csv` and `summary.json` for short runs through the CLI.
 
-Every row is written with 17 significant digits, so a digest pins each
-recorded value bit for bit. A change to the round engine that is meant to
+Trace rows carry 17 significant digits and the summary's floats are
+written so that they round-trip, so a digest pins each recorded value bit
+for bit. A change to the round engine that is meant to
 be a pure refactor or speed-up must leave every digest here unchanged; a
 change that alters trajectories on purpose replaces them and says why.
 """
@@ -47,14 +48,51 @@ DIGESTS = {
 }
 
 
+SUMMARY_DIGESTS = {
+    "collude_target": "f7451d59881b0cb14cb9dc103ee06e36ed1d61fcdcd5f1b9d4bf9b5a448cfdc5",
+    "collude_target_random_estimates": "ca8553c0e18e917597d6e233039567690d33ef8bed53f85bf5e950bebc8a9ab2",
+    "coord_extreme": "2bd037dffb4dd890e71013469d2bbeaa212aae46291bddc5cf3cb470672266b5",
+    "fault_free": "d8e04b8026eb54ab1af0c0a15b91fda1d23974d620b733b92c804786892b8848",
+    "margin_negative": "d2562249605657678b46861330658f48c0778220f809a88e98f16dac76087553",
+    "n100": "a8ac89b4e6e44251a229a56afd671e26e30ab8ec197523ece40bebc0ed1aa413",
+    "n40_d1": "394d47e1a7c1a1160f7f9f5835b5f0af2d39a8e13daf6867f4c9242269704905",
+    "norm_inflate": "00eda2a7c7cfe8ab21bb8860d7341a80296246ac33ba49876c70bd8e3d09917f",
+    "random_in_box": "22e8382b44a7c2408e108e04f5a415afdc834b4989fe2a4ee8991b1d47331ef9",
+    "sign_flip": "00a97a00feab92386c18890cf10a6f97b4c0993906c58bdf1f8685c7b1e3b8bf",
+    "violated_redundancy": "0d339ac44214f175c14308b332154848f433eafa3b5b451f59cd27508a3b4f8d",
+}
+
+
+@pytest.fixture(scope="module")
+def run_case(tmp_path_factory):
+    """Run each case through the CLI once; return its output directory."""
+    outputs = {}
+
+    def get(name):
+        if name not in outputs:
+            template, params, adversary = CASES[name]
+            mapping = build_template(template, seed=7, record_every=1, **params)
+            if adversary is not None:
+                mapping["adversary"] = adversary
+            root = tmp_path_factory.mktemp(name)
+            path = root / "scenario.yaml"
+            path.write_text(dump_scenario(mapping))
+            assert main(["run", str(path), "-o", str(root / "out")]) == 0
+            outputs[name] = root / "out"
+        return outputs[name]
+
+    return get
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_trace_digest(name, tmp_path):
-    template, params, adversary = CASES[name]
-    mapping = build_template(template, seed=7, record_every=1, **params)
-    if adversary is not None:
-        mapping["adversary"] = adversary
-    path = tmp_path / "scenario.yaml"
-    path.write_text(dump_scenario(mapping))
-    out = tmp_path / "out"
-    assert main(["run", str(path), "-o", str(out)]) == 0
-    assert hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest() == DIGESTS[name]
+def test_trace_digest(name, run_case):
+    assert sha256(run_case(name) / "trace.csv") == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_summary_digest(name, run_case):
+    assert sha256(run_case(name) / "summary.json") == SUMMARY_DIGESTS[name]
