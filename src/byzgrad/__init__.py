@@ -22,7 +22,6 @@ from .filters import Hypercube, Point, as_point, avg, cge_f, fuse_estimates, pro
 from .metrics import RoundTrace, check_zeta, consensus_diameter, lyapunov_v, max_distance
 from .protocol import (
     AdversaryStrategy,
-    HonestAgentState,
     ObservedRound,
     RoundMessage,
     StepSchedule,
@@ -40,7 +39,6 @@ __all__ = [
     "ConfigError",
     "CostEnsemble",
     "Hypercube",
-    "HonestAgentState",
     "LoadedScenario",
     "ObservedRound",
     "Point",

@@ -23,7 +23,7 @@ from .costs import check_redundancy_sufficient, spectral_constants
 from .errors import ConfigError, SimulationAbort
 from .metrics import RoundTrace
 from .scenario_io import ENV_SEED, TEMPLATES, LoadedScenario, build_template, dump_scenario, load_scenario_file, parse_scenario_text
-from .simulator import RunResult, run
+from .simulator import RunResult, honest_minimizer, run
 
 TRACE_HEADER = "t,eta,diameter_inf,diameter_l2,V,max_dist,cge_norm_max,zeta_violated"
 
@@ -232,6 +232,8 @@ def cmd_gen(args) -> int:
 def cmd_check(args) -> int:
     loaded = load_scenario_file(args.scenario, seed_override=_seed_override())
     scenario = loaded.scenario
+    # the same refusal as `run`, before the constants divide by zero curvature
+    honest_minimizer(scenario.ensemble)
     constants = spectral_constants(scenario.ensemble, scenario.f, scenario.box)
     try:
         redundancy_ok = check_redundancy_sufficient(scenario.ensemble, scenario.f)

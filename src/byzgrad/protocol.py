@@ -5,11 +5,12 @@ its own (coordinate-wise trim then average), filter the n gradients (its
 own plus the n-1 received) by eliminating the f largest norms and summing
 the rest, take a step against the filtered gradient, and clamp back into
 the box. The agent reads its round from two (n, d) arrays indexed by
-sender id, with its own estimate and gradient in its own row. Faulty
-agents are free of any such shape; they may send each receiver a
-different, arbitrary (estimate, gradient) pair, and the concrete
-strategies below are omniscient within the round: they see every honest
-estimate and gradient of round t before emitting.
+sender id, with its own estimate and gradient in the row of its own id;
+nothing else about the agent enters the update. Faulty agents are free of
+any such shape; they may send each receiver a different, arbitrary
+(estimate, gradient) pair, and the concrete strategies below are
+omniscient within the round: they see every honest estimate and gradient
+of round t before emitting.
 
 Adversary strategies (names appear verbatim in scenario files):
 
@@ -25,8 +26,8 @@ Adversary strategies (names appear verbatim in scenario files):
                     norm zeta, the strongest pull toward the target that
                     still claims to respect the gradient bound
 
-Randomized strategies draw from a stream keyed by (seed, round, sender,
-receiver), so a message is a pure function of those coordinates.
+Randomized strategies draw from the caller's CounterStream at (round,
+sender, receiver), so a message is a pure function of those coordinates.
 """
 
 from dataclasses import dataclass, field
@@ -36,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .filters import Hypercube, Point, as_point, cge_f
-from .seeds import PURPOSE_ADVERSARY, CounterStream, substream
+from .seeds import CounterStream
 
 # Coordinates of admitted messages must not exceed this magnitude. Faulty
 # values are otherwise unconstrained; the cap only keeps arithmetic finite.
@@ -93,17 +94,7 @@ class ObservedRound:
 
 class RoundOutcome(NamedTuple):
     estimate: Point          # the agent's next estimate, inside the box
-    fused: Point             # trimmed-mean fusion of the round's estimates
     filtered_gradient: Point  # the summed survivors of gradient elimination
-
-
-@dataclass
-class HonestAgentState:
-    """An honest agent's id, current estimate, and local cost."""
-
-    id: int
-    estimate: Point
-    cost: object  # anything with .gradient(x) -> Point
 
 
 @dataclass(frozen=True)
@@ -173,13 +164,12 @@ def adversary_emit(
     sender: int,
     receiver: int,
     observed: ObservedRound,
-    stream: CounterStream | None = None,
+    stream: CounterStream,
 ) -> RoundMessage:
     """Produce the message a faulty `sender` gives `receiver` in `round_`.
 
-    `stream` is an optional reusable CounterStream for the strategy's seed;
-    passing one skips per-message generator construction without changing
-    any drawn value.
+    `stream` is the CounterStream of the strategy's seed and the adversary
+    purpose; randomized strategies draw from it at (round_, sender, receiver).
     """
     box, zeta = observed.box, observed.zeta
     kind = strategy.kind
@@ -195,10 +185,7 @@ def adversary_emit(
         estimate = np.where(observed.estimate_median <= 0.0, box.xi, -box.xi)
         return RoundMessage(estimate, np.zeros(box.d))
 
-    if stream is not None:
-        rng = stream.at(round_, sender, receiver)
-    else:
-        rng = substream(strategy.seed, PURPOSE_ADVERSARY, round_, sender, receiver)
+    rng = stream.at(round_, sender, receiver)
 
     if kind == "random_in_box":
         estimate = rng.uniform(-box.xi, box.xi, size=box.d)
@@ -215,7 +202,7 @@ def adversary_emit(
 
 
 def honest_round(
-    state: HonestAgentState,
+    me: int,
     estimates: np.ndarray,
     gradients: np.ndarray,
     eta_t: float,
@@ -224,17 +211,17 @@ def honest_round(
 ) -> RoundOutcome:
     """One honest agent's full round: fuse, filter, step, project.
 
-    `estimates` and `gradients` are the round's (n, d) inbox indexed by
-    sender id. Row `state.id` holds the agent's own estimate and gradient;
-    every other row is the message that sender gave this agent.
+    `me` is the agent's id. `estimates` and `gradients` are the round's
+    (n, d) inbox indexed by sender id, with d = `box.d`. Row `me` holds the
+    agent's own estimate and gradient; every other row is the message that
+    sender gave this agent.
 
     Degenerate cases: a single-agent system (n = 1, f = 0) reduces to plain
     projected gradient descent, and at the minimum system size n = 2f + 1
     the trim discards all n-1 received values, so the fusion keeps only the
     agent's own estimate.
     """
-    me = state.id
-    d = state.estimate.size
+    d = box.d
     estimates = np.asarray(estimates, dtype=np.float64)
     gradients = np.asarray(gradients, dtype=np.float64)
     if f < 0:
@@ -256,4 +243,4 @@ def honest_round(
     filtered = cge_f(gradients, f)
 
     stepped = fused - eta_t * filtered
-    return RoundOutcome(np.clip(stepped, -box.xi, box.xi), fused, filtered)
+    return RoundOutcome(np.clip(stepped, -box.xi, box.xi), filtered)

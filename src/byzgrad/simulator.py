@@ -3,7 +3,10 @@
 A run is two-phase per round: first every message of round t is
 materialized (honest agents broadcast one (estimate, gradient) pair to
 everyone; faulty agents emit a possibly different pair per receiver), then
-every honest agent applies its update. Messages live in preallocated
+every honest agent applies its update. The honest state is four (honest,
+d) arrays ordered by agent id: the estimates entering the round, their
+gradients, the next estimates and the filtered gradients; the two estimate
+arrays swap at the end of each round. Messages live in preallocated
 arrays: id-indexed (n, d) inbox buffers, filled once per round with the
 honest rows, and (faulty, honest, d) blocks of faulty messages, whose
 column for one receiver is copied into the faulty rows of the inbox
@@ -33,7 +36,6 @@ from .metrics import RoundTrace, check_zeta, consensus_diameter, lyapunov_v, max
 from .protocol import (
     MESSAGE_COORD_LIMIT,
     AdversaryStrategy,
-    HonestAgentState,
     ObservedRound,
     StepSchedule,
     adversary_emit,
@@ -120,14 +122,12 @@ class RunResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def _initial_estimates(scenario: Scenario, honest_ids: list[int]) -> dict[int, Point]:
-    if isinstance(scenario.init, np.ndarray):
-        return {i: scenario.init[i].copy() for i in honest_ids}
-    # per-agent substreams: agent i's draw does not depend on who else exists
-    return {
-        i: substream(scenario.seed, PURPOSE_INIT, i).uniform(-scenario.xi, scenario.xi, size=scenario.d)
-        for i in honest_ids
-    }
+def honest_minimizer(ensemble: CostEnsemble) -> Point:
+    """The honest aggregate minimizer, or a ConfigError when it is not unique."""
+    try:
+        return aggregate_minimizer(ensemble)
+    except ValueError as exc:
+        raise ConfigError(f"honest costs have no unique minimizer: {exc}") from exc
 
 
 def _admit(
@@ -171,10 +171,7 @@ def run(scenario: Scenario) -> RunResult:
     box = scenario.box
     # first, so a scenario without a unique honest minimizer is refused
     # before the constants divide by its zero curvature
-    try:
-        x_star = aggregate_minimizer(scenario.ensemble)
-    except ValueError as exc:
-        raise ConfigError(f"honest costs have no unique minimizer: {exc}") from exc
+    x_star = honest_minimizer(scenario.ensemble)
     constants = spectral_constants(scenario.ensemble, scenario.f, box)
     warnings: list[str] = []
     try:
@@ -195,10 +192,7 @@ def run(scenario: Scenario) -> RunResult:
 
     honest_ids = sorted(set(range(scenario.n)) - scenario.faulty_ids)
     faulty_ids = sorted(scenario.faulty_ids)
-    states = {
-        i: HonestAgentState(id=i, estimate=x0, cost=scenario.ensemble.costs[i])
-        for i, x0 in _initial_estimates(scenario, honest_ids).items()
-    }
+    costs = [scenario.ensemble.costs[i] for i in honest_ids]
     stride = scenario.stride
     horizon = scenario.horizon
     trace: list[RoundTrace] = []
@@ -206,6 +200,16 @@ def run(scenario: Scenario) -> RunResult:
     d = scenario.d
     honest_rows = np.array(honest_ids, dtype=np.intp)
     faulty_rows = np.array(faulty_ids, dtype=np.intp)
+    if isinstance(scenario.init, np.ndarray):
+        estimates = scenario.init[honest_rows]
+    else:
+        # per-agent substreams: agent i's draw does not depend on who else exists
+        estimates = np.stack(
+            [substream(scenario.seed, PURPOSE_INIT, i).uniform(-scenario.xi, scenario.xi, size=d) for i in honest_ids]
+        )
+    gradients = np.empty_like(estimates)
+    next_estimates = np.empty_like(estimates)
+    filtered = np.empty_like(estimates)
     inbox_est = np.empty((scenario.n, d))
     inbox_grad = np.empty((scenario.n, d))
     faulty_est = np.empty((len(faulty_ids), len(honest_ids), d))
@@ -213,16 +217,15 @@ def run(scenario: Scenario) -> RunResult:
 
     for t in range(horizon + 1):
         eta_t = eta(scenario.schedule, t)
-        for i in honest_ids:
-            inbox_est[i] = states[i].estimate
-            inbox_grad[i] = states[i].cost.gradient(states[i].estimate)
-        est_matrix = inbox_est[honest_rows]
-        grad_matrix = inbox_grad[honest_rows]
-        if not np.isfinite(grad_matrix).all():
+        for b, cost in enumerate(costs):
+            gradients[b] = cost.gradient(estimates[b])
+        if not np.isfinite(gradients).all():
             raise SimulationAbort(t, "an honest gradient overflowed")
+        inbox_est[honest_rows] = estimates
+        inbox_grad[honest_rows] = gradients
 
         # phase 1: materialize every faulty message of round t
-        observed = ObservedRound(est_matrix, grad_matrix, box, constants.zeta)
+        observed = ObservedRound(estimates, gradients, box, constants.zeta)
         for a, s in enumerate(faulty_ids):
             for b, r in enumerate(honest_ids):
                 est, grad = adversary_emit(scenario.adversary, t, s, r, observed, stream=adversary_stream)
@@ -237,38 +240,35 @@ def run(scenario: Scenario) -> RunResult:
 
         # phase 2: every honest agent updates on its complete inbox; only
         # the faulty rows differ between receivers
-        outcomes = {}
         for b, i in enumerate(honest_ids):
             inbox_est[faulty_rows] = faulty_est[:, b]
             inbox_grad[faulty_rows] = faulty_grad[:, b]
             try:
-                outcomes[i] = honest_round(states[i], inbox_est, inbox_grad, eta_t, scenario.f, box)
+                next_estimates[b], filtered[b] = honest_round(i, inbox_est, inbox_grad, eta_t, scenario.f, box)
             except ValueError as exc:
                 raise SimulationAbort(t, f"agent {i}: {exc}") from exc
 
         if t % stride == 0 or t == horizon:
-            diameter_inf, diameter_l2 = consensus_diameter(est_matrix)
-            filtered = {i: outcomes[i].filtered_gradient for i in honest_ids}
-            cge_norm_max = max(float(np.linalg.norm(h)) for h in filtered.values())
+            diameter_inf, diameter_l2 = consensus_diameter(estimates)
+            cge_norm_max = max(float(np.linalg.norm(h)) for h in filtered)
             trace.append(
                 RoundTrace(
                     t=t,
                     eta=eta_t,
                     diameter_inf=diameter_inf,
                     diameter_l2=diameter_l2,
-                    v=lyapunov_v(est_matrix, x_star),
-                    max_dist=max_distance(est_matrix, x_star),
+                    v=lyapunov_v(estimates, x_star),
+                    max_dist=max_distance(estimates, x_star),
                     cge_norm_max=cge_norm_max,
                     zeta_violated=not check_zeta(filtered, constants.zeta),
                 )
             )
         if t == horizon:
             break
-        for i in honest_ids:
-            states[i].estimate = outcomes[i].estimate
+        estimates, next_estimates = next_estimates, estimates
 
     return RunResult(
-        final_estimates={i: states[i].estimate for i in honest_ids},
+        final_estimates=dict(zip(honest_ids, estimates)),
         trace=trace,
         constants=constants,
         redundancy_ok=redundancy_ok,

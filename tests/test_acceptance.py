@@ -17,7 +17,6 @@ import pytest
 from byzgrad import (
     CostEnsemble,
     Hypercube,
-    HonestAgentState,
     QuadraticCost,
     cge_f,
     fuse_estimates,
@@ -142,10 +141,9 @@ def test_criterion_3_fault_free_reduction(scenario_c):
     worst = 0.0
     for _ in range(200):
         x = rng.uniform(-box.xi, box.xi, size=box.d)
-        state = HonestAgentState(id=0, estimate=x.copy(), cost=ensemble.costs[0])
         estimates = np.tile(x, (ensemble.n, 1))
         gradients = np.stack([ensemble.costs[j].gradient(x) for j in range(ensemble.n)])
-        outcome = honest_round(state, estimates, gradients, 0.01, 0, box)
+        outcome = honest_round(0, estimates, gradients, 0.01, 0, box)
         total = sum(ensemble.costs[j].gradient(x) for j in range(ensemble.n))
         worst = max(worst, float(np.abs(outcome.filtered_gradient - total).max()))
     direction_ok = worst <= 1e-12

@@ -1,9 +1,15 @@
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from byzgrad.cli import TRACE_HEADER, main
+from byzgrad.protocol import ADVERSARY_KINDS
 from byzgrad.scenario_io import ENV_SEED, build_template, dump_scenario
 
 
@@ -170,6 +176,52 @@ class TestCheck:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.yaml")]) == 2
+
+    def test_singular_honest_sum_exits_2(self, singular_scenario, capsys):
+        assert main(["check", str(singular_scenario)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "no unique minimizer" in captured.err
+        assert captured.err.count("\n") == 1
+
+
+@st.composite
+def explicit_cost_scenarios(draw):
+    """Small explicit-cost scenarios, singular and stiff Hessian sums included."""
+    n = draw(st.integers(1, 7))
+    f = draw(st.integers(0, (n - 1) // 2))
+    d = draw(st.integers(1, 3))
+    xi = draw(st.sampled_from([1.0, 10.0]))
+    coords = st.lists(st.floats(-2 * xi, 2 * xi), min_size=d, max_size=d)
+    adversary = {"kind": draw(st.sampled_from(ADVERSARY_KINDS))}
+    if adversary["kind"] == "norm_inflate":
+        adversary["scale"] = draw(st.sampled_from([25.0, 1e14]))
+    if adversary["kind"] == "collude_target":
+        adversary["target"] = draw(coords)
+        adversary["estimates"] = draw(st.sampled_from(["target", "random_in_box"]))
+    costs = [
+        {"A": (draw(st.sampled_from([0.0, 1e-3, 1.0, 50.0])) * np.eye(d)).tolist(), "b": draw(coords)}
+        for _ in range(n)
+    ]
+    return {
+        "version": 1, "n": n, "f": f, "d": d, "xi": xi, "seed": draw(st.integers(0, 2**31)), "horizon": 4,
+        "faulty_ids": draw(st.lists(st.integers(0, n - 1), max_size=f, unique=True)),
+        "adversary": adversary,
+        "ensemble": {"costs": costs},
+    }
+
+
+class TestCheckRunAgreement:
+    @settings(max_examples=60, deadline=None)
+    @given(explicit_cost_scenarios())
+    def test_check_refuses_exactly_what_run_refuses(self, mapping):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scenario.yaml"
+            path.write_text(dump_scenario(mapping))
+            check_code = main(["check", str(path)])
+            run_code = main(["run", str(path), "-o", str(Path(tmp) / "out")])
+        assert check_code in (0, 2, 3) and run_code in (0, 2, 3)
+        assert (check_code == 2) == (run_code == 2)
 
 
 class TestSweep:

@@ -190,9 +190,9 @@ class TestConservation:
         calls = []
         real = byzgrad.simulator.honest_round
 
-        def counting(state, estimates, gradients, eta_t, f, box):
-            calls.append((state.id, len(estimates), len(gradients)))
-            return real(state, estimates, gradients, eta_t, f, box)
+        def counting(me, estimates, gradients, eta_t, f, box):
+            calls.append((me, len(estimates), len(gradients)))
+            return real(me, estimates, gradients, eta_t, f, box)
 
         monkeypatch.setattr(byzgrad.simulator, "honest_round", counting)
         horizon = 25
@@ -257,10 +257,10 @@ class TestAdmissionGate:
         `replacements[(round, sender, receiver)]` where given."""
         real = byzgrad.simulator.adversary_emit
 
-        def emit(strategy, t, sender, receiver, observed, stream=None):
+        def emit(strategy, t, sender, receiver, observed, stream):
             if (t, sender, receiver) in replacements:
                 return replacements[(t, sender, receiver)]
-            return real(strategy, t, sender, receiver, observed, stream=stream)
+            return real(strategy, t, sender, receiver, observed, stream)
 
         monkeypatch.setattr(byzgrad.simulator, "adversary_emit", emit)
         run(redundant_scenario(horizon=10))
