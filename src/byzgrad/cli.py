@@ -22,7 +22,10 @@ import yaml
 from .costs import check_redundancy_sufficient, spectral_constants
 from .errors import ConfigError, SimulationAbort
 from .metrics import RoundTrace
-from .scenario_io import ENV_SEED, TEMPLATES, LoadedScenario, build_template, dump_scenario, load_scenario_file, parse_scenario_text
+from .scenario_io import (
+    ENV_SEED, TEMPLATES, LoadedScenario, build_template, dump_scenario, load_scenario_file, parse_scenario_text,
+    read_scenario_file, read_scenario_mapping,
+)
 from .simulator import RunResult, honest_minimizer, run
 
 TRACE_HEADER = "t,eta,diameter_inf,diameter_l2,V,max_dist,cge_norm_max,zeta_violated"
@@ -179,10 +182,7 @@ def cmd_run(args) -> int:
         return 0
 
     key, values = _parse_sweep(args.sweep)
-    with open(args.scenario, "r", encoding="utf-8") as handle:
-        base = yaml.safe_load(handle.read())
-    if not isinstance(base, dict):
-        raise ConfigError("scenario file must be a mapping of keys to values")
+    base, _ = read_scenario_mapping(read_scenario_file(args.scenario))
     jobs = []
     for value in values:
         label = f"{key}={value}"
@@ -212,20 +212,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    params = {}
-    for name in ("n", "f", "d", "seed", "horizon", "record_every"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    for name in ("xi", "eta0", "eig_min", "eig_max"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "template") and v is not None}
     try:
         mapping = build_template(args.template, **params)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc))
-    sys.stdout.write(dump_scenario(mapping))
+    text = dump_scenario(mapping)
+    parse_scenario_text(text)  # never print a file that `run` would refuse
+    sys.stdout.write(text)
     return 0
 
 
@@ -236,12 +230,11 @@ def cmd_check(args) -> int:
     honest_minimizer(scenario.ensemble)
     constants = spectral_constants(scenario.ensemble, scenario.f, scenario.box)
     try:
-        redundancy_ok = check_redundancy_sufficient(scenario.ensemble, scenario.f)
-    except ValueError:
-        redundancy_ok = False
-    reasons = []
-    if not redundancy_ok:
-        reasons.append("not redundant")
+        redundant = check_redundancy_sufficient(scenario.ensemble, scenario.f)
+    except ValueError as exc:
+        redundancy, reasons = f"not applicable ({exc})", ["redundancy not applicable"]
+    else:
+        redundancy, reasons = ("OK", []) if redundant else ("FAIL", ["not redundant"])
     if constants.alpha <= 0.0:
         reasons.append("alpha <= 0")
     print(f"n = {scenario.n}")
@@ -252,7 +245,7 @@ def cmd_check(args) -> int:
     print(f"lambda = {constants.lam:.10g}")
     print(f"zeta = {constants.zeta:.10g}" + ("" if constants.zeta_exact else " (upper bound)"))
     print(f"alpha = {constants.alpha:.10g}")
-    print(f"redundancy: {'OK' if redundancy_ok else 'FAIL'}")
+    print(f"redundancy: {redundancy}")
     verdict = "OK" if not reasons else "FAIL (" + ", ".join(reasons) + ")"
     print(f"convergence preconditions: {verdict}")
     print(f"digest: {loaded.digest}")

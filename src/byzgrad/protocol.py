@@ -134,15 +134,14 @@ def eta(schedule: StepSchedule, t: int) -> float:
 class AdversaryStrategy:
     """A named faulty-sender behavior plus its parameters.
 
-    `seed` roots the strategy's randomness; scenario assembly sets it to
-    the run seed so replays are exact.
+    The strategy holds no seed: a run keys the randomized strategies with
+    its own seed, so one seed determines every message.
     """
 
     kind: str
     scale: float | None = None       # norm_inflate
     target: Point | None = None      # collude_target
     estimates: str = "target"        # collude_target: target | random_in_box
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ADVERSARY_KINDS:
@@ -168,8 +167,8 @@ def adversary_emit(
 ) -> RoundMessage:
     """Produce the message a faulty `sender` gives `receiver` in `round_`.
 
-    `stream` is the CounterStream of the strategy's seed and the adversary
-    purpose; randomized strategies draw from it at (round_, sender, receiver).
+    `stream` is the CounterStream of the run seed and the adversary purpose;
+    randomized strategies draw from it at (round_, sender, receiver).
     """
     box, zeta = observed.box, observed.zeta
     kind = strategy.kind

@@ -1,6 +1,6 @@
 """Scenario files: parsing, strict validation, templates, and digests.
 
-A scenario file is YAML mirroring the runtime Scenario field for field:
+A scenario file is YAML describing one runtime Scenario:
 
     version: 1
     n: 10
@@ -41,7 +41,6 @@ from .simulator import Scenario
 
 SCHEMA_VERSION = 1
 ENV_SEED = "BYZGRAD_SEED"
-TEMPLATES = ("redundant_quadratic", "violated_redundancy", "margin_negative")
 
 _TOP_KEYS = {
     "version", "n", "f", "d", "xi", "seed", "horizon", "record_every",
@@ -107,6 +106,20 @@ class _Check:
         return [self.number(v, f"{name}[{k}]", path) for k, v in enumerate(value)]
 
 
+def read_scenario_mapping(text: str) -> tuple[dict, yaml.Node]:
+    """Compose YAML text once; return the mapping it holds and its node tree."""
+    try:
+        loader = yaml.SafeLoader(text)  # refuses unprintable characters
+        node = loader.get_single_node()
+        data = None if node is None else loader.construct_document(node)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        raise ConfigError(f"not valid YAML: {exc}", line=None if mark is None else mark.line + 1)
+    if not isinstance(data, dict):
+        raise ConfigError("scenario file must be a mapping of keys to values")
+    return data, node
+
+
 def parse_scenario_text(
     text: str,
     seed_override: int | None = None,
@@ -118,15 +131,7 @@ def parse_scenario_text(
     `record_override` replaces the trace stride. Both show up in the
     effective configuration and therefore in the digest.
     """
-    try:
-        data = yaml.safe_load(text)
-        node = yaml.compose(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        raise ConfigError(f"not valid YAML: {exc}", line=None if mark is None else mark.line + 1)
-    if not isinstance(data, dict):
-        raise ConfigError("scenario file must be a mapping of keys to values")
-
+    data, node = read_scenario_mapping(text)
     check = _Check(_key_lines(node))
     check.mapping(data, _TOP_KEYS, ())
     for key in _REQUIRED:
@@ -205,7 +210,6 @@ def parse_scenario_text(
             scale=None if "scale" not in adv_map else check.number(adv_map["scale"], "scale", ("adversary", "scale")),
             target=None if adv_target is None else np.asarray(adv_target),
             estimates=adv_map.get("estimates", "target"),
-            seed=seed,
         )
     except ValueError as exc:
         check.fail(str(exc), ("adversary",))
@@ -258,9 +262,8 @@ def parse_scenario_text(
 
     try:
         scenario = Scenario(
-            n=n, f=f, d=d, xi=xi,
+            f=f, xi=xi,
             ensemble=ensemble,
-            faulty_ids=frozenset(faulty_ids),
             adversary=adversary,
             schedule=schedule,
             horizon=horizon,
@@ -296,13 +299,16 @@ def _strategy_mapping(strategy: AdversaryStrategy) -> dict:
     return out
 
 
-def load_scenario_file(path, seed_override: int | None = None, record_override: int | None = None) -> LoadedScenario:
+def read_scenario_file(path) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file: {exc}")
-    return parse_scenario_text(text, seed_override=seed_override, record_override=record_override)
+
+
+def load_scenario_file(path, seed_override: int | None = None, record_override: int | None = None) -> LoadedScenario:
+    return parse_scenario_text(read_scenario_file(path), seed_override=seed_override, record_override=record_override)
 
 
 def scenario_digest(effective: dict) -> str:
@@ -340,31 +346,14 @@ def template_redundant_quadratic(
     """
     if n < 2 * f + 1:
         raise ValueError(f"need n >= 2f+1, got n={n}, f={f}")
-    mapping = {
-        "version": SCHEMA_VERSION,
-        "n": n, "f": f, "d": d, "xi": float(xi),
+    adversary = {"kind": "collude_target", "target": [float(xi)] * d, "estimates": "random_in_box"}
+    generator = {
         "seed": seed,
-        "horizon": horizon,
-        "faulty_ids": list(range(n - f, n)),
-        "init": "uniform",
-        "schedule": {"kind": "harmonic", "eta0": float(eta0)},
-        "adversary": {
-            "kind": "collude_target",
-            "target": [float(xi)] * d,
-            "estimates": "random_in_box",
-        },
-        "ensemble": {
-            "generator": {
-                "seed": seed,
-                "eig_min": float(eig_min),
-                "eig_max": float(eig_max),
-                "x_star": _interior_point(seed, d, xi),
-            }
-        },
+        "eig_min": float(eig_min),
+        "eig_max": float(eig_max),
+        "x_star": _interior_point(seed, d, xi),
     }
-    if record_every is not None:
-        mapping["record_every"] = record_every
-    return mapping
+    return _template_mapping(n, f, d, seed, xi, horizon, eta0, record_every, adversary, {"generator": generator})
 
 
 def template_violated_redundancy(
@@ -382,13 +371,15 @@ def template_violated_redundancy(
         raise ValueError("violated_redundancy needs f >= 1; f = 0 is always redundant")
     if n < 2 * f + 1:
         raise ValueError(f"need n >= 2f+1, got n={n}, f={f}")
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
     spread = np.linspace(-0.5 * xi, 0.5 * xi, n)
     costs = []
     for i in range(n):
         b = [0.0] * d
         b[0] = float(spread[i])
         costs.append({"A": np.eye(d).tolist(), "b": b, "c": 0.0})
-    return _explicit_mapping(n, f, d, seed, xi, horizon, eta0, costs, record_every)
+    return _template_mapping(n, f, d, seed, xi, horizon, eta0, record_every, {"kind": "sign_flip"}, {"costs": costs})
 
 
 def template_margin_negative(
@@ -412,8 +403,7 @@ def template_margin_negative(
     if n < 2 * f + 1:
         raise ValueError(f"need n >= 2f+1, got n={n}, f={f}")
     x_star = _interior_point(seed, d, xi)
-    faulty = list(range(n - f, n))
-    honest_set = frozenset(range(n)) - frozenset(faulty)
+    honest_set = frozenset(range(n - f))  # as _template_mapping declares
     box = Hypercube(float(xi), d)
 
     def build(eps: float | None) -> list[dict]:
@@ -439,33 +429,37 @@ def template_margin_negative(
         eps *= 0.1
         if eps < 1e-12:
             raise ValueError("could not drive the margin non-positive")  # unreachable for f >= 1
-    return _explicit_mapping(n, f, d, seed, xi, horizon, eta0, costs, record_every, faulty_ids=faulty)
+    return _template_mapping(n, f, d, seed, xi, horizon, eta0, record_every, {"kind": "sign_flip"}, {"costs": costs})
 
 
-def _explicit_mapping(n, f, d, seed, xi, horizon, eta0, costs, record_every, faulty_ids=None) -> dict:
+def _template_mapping(n, f, d, seed, xi, horizon, eta0, record_every, adversary, ensemble) -> dict:
+    """The scenario mapping every template shares: the last f agents are faulty."""
     mapping = {
         "version": SCHEMA_VERSION,
         "n": n, "f": f, "d": d, "xi": float(xi),
         "seed": seed,
         "horizon": horizon,
-        "faulty_ids": list(range(n - f, n)) if faulty_ids is None else faulty_ids,
+        "faulty_ids": list(range(n - f, n)),
         "init": "uniform",
         "schedule": {"kind": "harmonic", "eta0": float(eta0)},
-        "adversary": {"kind": "sign_flip"},
-        "ensemble": {"costs": costs},
+        "adversary": adversary,
+        "ensemble": ensemble,
     }
     if record_every is not None:
         mapping["record_every"] = record_every
     return mapping
 
 
+_TEMPLATE_BUILDERS = {
+    "redundant_quadratic": template_redundant_quadratic,
+    "violated_redundancy": template_violated_redundancy,
+    "margin_negative": template_margin_negative,
+}
+TEMPLATES = tuple(_TEMPLATE_BUILDERS)
+
+
 def build_template(name: str, **params) -> dict:
     """Dispatch a template by its scenario-file name."""
-    builders = {
-        "redundant_quadratic": template_redundant_quadratic,
-        "violated_redundancy": template_violated_redundancy,
-        "margin_negative": template_margin_negative,
-    }
-    if name not in builders:
+    if name not in _TEMPLATE_BUILDERS:
         raise ValueError(f"unknown template {name!r}; known: {TEMPLATES}")
-    return builders[name](**params)
+    return _TEMPLATE_BUILDERS[name](**params)

@@ -24,7 +24,6 @@ warning on the result, and the rounds proceed regardless; observing those
 regimes is the point.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,14 +48,15 @@ DEFAULT_TRACE_TARGET = 10000  # default stride keeps traces near this many rows
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete declarative description of one run."""
+    """Complete declarative description of one run.
 
-    n: int
+    The ensemble fixes n, d and who is faulty (every agent outside its
+    honest set); `seed` keys every random draw, start points and messages.
+    """
+
     f: int
-    d: int
     xi: float
     ensemble: CostEnsemble
-    faulty_ids: frozenset[int]
     adversary: AdversaryStrategy
     schedule: StepSchedule
     horizon: int
@@ -72,18 +72,8 @@ class Scenario:
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         box = self.box  # validates xi and d
-        if self.ensemble.n != self.n:
-            raise ValueError(f"ensemble has {self.ensemble.n} costs for n={self.n} agents")
-        if self.ensemble.d != self.d:
-            raise ValueError(f"ensemble dimension {self.ensemble.d} != scenario dimension {self.d}")
-        faulty = frozenset(int(i) for i in self.faulty_ids)
-        if not faulty <= set(range(self.n)):
-            raise ValueError(f"faulty ids must lie in 0..{self.n - 1}")
-        if len(faulty) > self.f:
-            raise ValueError(f"{len(faulty)} faulty ids exceed the declared bound f={self.f}")
-        if self.ensemble.honest_set != set(range(self.n)) - faulty:
-            raise ValueError("ensemble honest set must be the complement of faulty_ids")
-        object.__setattr__(self, "faulty_ids", faulty)
+        if len(self.faulty_ids) > self.f:
+            raise ValueError(f"{len(self.faulty_ids)} faulty ids exceed the declared bound f={self.f}")
         if isinstance(self.init, str):
             if self.init != "uniform":
                 raise ValueError(f"init must be 'uniform' or explicit points, got {self.init!r}")
@@ -97,6 +87,18 @@ class Scenario:
             object.__setattr__(self, "init", pts)
         if self.record_every is not None and self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+
+    @property
+    def n(self) -> int:
+        return self.ensemble.n
+
+    @property
+    def d(self) -> int:
+        return self.ensemble.d
+
+    @property
+    def faulty_ids(self) -> frozenset[int]:
+        return frozenset(range(self.n)) - self.ensemble.honest_set
 
     @property
     def box(self) -> Hypercube:
@@ -118,7 +120,6 @@ class RunResult:
     constants: SpectralConstants
     redundancy_ok: bool
     x_star: Point
-    duration: float
     warnings: list[str] = field(default_factory=list)
 
 
@@ -167,7 +168,6 @@ def run(scenario: Scenario) -> RunResult:
     final one; each row measures the state entering that round together
     with the filtered gradients computed from that round's messages.
     """
-    started = time.perf_counter()
     box = scenario.box
     # first, so a scenario without a unique honest minimizer is refused
     # before the constants divide by its zero curvature
@@ -175,9 +175,9 @@ def run(scenario: Scenario) -> RunResult:
     constants = spectral_constants(scenario.ensemble, scenario.f, box)
     warnings: list[str] = []
     try:
-        redundancy_ok = check_redundancy_sufficient(scenario.ensemble, scenario.f)
+        redundant = check_redundancy_sufficient(scenario.ensemble, scenario.f)
     except ValueError as exc:
-        redundancy_ok = False
+        redundant = None  # not applicable, which is neither verdict
         warnings.append(f"redundancy check not applicable: {exc}")
     if not box.contains(x_star):
         warnings.append("honest aggregate minimizer lies outside the box; projection will bias the runs")
@@ -185,18 +185,18 @@ def run(scenario: Scenario) -> RunResult:
         warnings.append(
             f"fault-tolerance margin alpha = {constants.alpha:.6g} <= 0; convergence is not guaranteed"
         )
-    if not redundancy_ok:
+    if redundant is False:
         warnings.append("ensemble is not redundant; validity toward the honest minimizer is not guaranteed")
     if not constants.zeta_exact:
         warnings.append("zeta is an analytic upper bound, not the exact box maximum")
 
-    honest_ids = sorted(set(range(scenario.n)) - scenario.faulty_ids)
+    honest_ids = scenario.ensemble.honest_ids()
     faulty_ids = sorted(scenario.faulty_ids)
-    costs = [scenario.ensemble.costs[i] for i in honest_ids]
+    costs = scenario.ensemble.honest_costs()
     stride = scenario.stride
     horizon = scenario.horizon
     trace: list[RoundTrace] = []
-    adversary_stream = CounterStream(scenario.adversary.seed, PURPOSE_ADVERSARY)
+    adversary_stream = CounterStream(scenario.seed, PURPOSE_ADVERSARY)
     d = scenario.d
     honest_rows = np.array(honest_ids, dtype=np.intp)
     faulty_rows = np.array(faulty_ids, dtype=np.intp)
@@ -271,8 +271,7 @@ def run(scenario: Scenario) -> RunResult:
         final_estimates=dict(zip(honest_ids, estimates)),
         trace=trace,
         constants=constants,
-        redundancy_ok=redundancy_ok,
+        redundancy_ok=bool(redundant),
         x_star=x_star,
-        duration=time.perf_counter() - started,
         warnings=warnings,
     )

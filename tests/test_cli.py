@@ -1,16 +1,19 @@
+import contextlib
+import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from byzgrad.cli import TRACE_HEADER, main
 from byzgrad.protocol import ADVERSARY_KINDS
-from byzgrad.scenario_io import ENV_SEED, build_template, dump_scenario
+from byzgrad.scenario_io import ENV_SEED, TEMPLATES, build_template, dump_scenario
 
 
 @pytest.fixture()
@@ -29,6 +32,22 @@ def singular_scenario(tmp_path):
         cost["A"] = [[0.0]]
     path = tmp_path / "singular.yaml"
     path.write_text(dump_scenario(mapping))
+    return path
+
+
+# Agent 0 is flat, so the redundancy check does not apply, yet the honest
+# sum is regular and every honest gradient vanishes at x* = 0.5.
+INAPPLICABLE_REDUNDANCY = {
+    "version": 1, "n": 3, "f": 1, "d": 1, "xi": 5.0, "seed": 0, "horizon": 5,
+    "adversary": {"kind": "sign_flip"},
+    "ensemble": {"costs": [{"A": [[0.0]], "b": [0.0]}] + [{"A": [[1.0]], "b": [0.5]}] * 2},
+}
+
+
+@pytest.fixture()
+def inapplicable_redundancy_scenario(tmp_path):
+    path = tmp_path / "inapplicable.yaml"
+    path.write_text(dump_scenario(INAPPLICABLE_REDUNDANCY))
     return path
 
 
@@ -52,6 +71,14 @@ class TestGen:
 
     def test_bad_params_exit_2(self, capsys):
         assert main(["gen", "margin_negative", "--f", "0"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--xi", "--horizon", "--d", "--eig-min", "--record-every"])
+    @pytest.mark.parametrize("template", TEMPLATES)
+    def test_prints_no_file_that_run_refuses(self, capsys, template, flag):
+        assert main(["gen", template, flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestRun:
@@ -123,6 +150,18 @@ ensemble:
         assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 3
         assert "round 0" in capsys.readouterr().err
 
+    def test_zeta_bound_above_vertex_limit(self, tmp_path, capsys):
+        mapping = build_template("redundant_quadratic", n=3, f=1, d=21, horizon=5)
+        path = tmp_path / "wide.yaml"
+        path.write_text(dump_scenario(mapping))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "-o", str(out)]) == 0
+        summary = read_summary(out)
+        assert summary["zeta_exact"] is False
+        assert any("analytic upper bound" in w for w in summary["warnings"])
+        assert main(["check", str(path)]) == 0
+        assert re.search(r"^zeta = \S+ \(upper bound\)$", capsys.readouterr().out, re.MULTILINE)
+
     def test_record_every_override(self, small_scenario, tmp_path):
         out = tmp_path / "out"
         main(["run", str(small_scenario), "-o", str(out), "--record-every", "30"])
@@ -177,12 +216,31 @@ class TestCheck:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.yaml")]) == 2
 
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"version: 1\n# caf\xe9\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read scenario file")
+
     def test_singular_honest_sum_exits_2(self, singular_scenario, capsys):
         assert main(["check", str(singular_scenario)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "no unique minimizer" in captured.err
         assert captured.err.count("\n") == 1
+
+    def test_inapplicable_redundancy_check(self, inapplicable_redundancy_scenario, tmp_path, capsys):
+        assert main(["check", str(inapplicable_redundancy_scenario)]) == 0
+        out = capsys.readouterr().out
+        assert "redundancy: not applicable (redundancy check requires strictly convex honest costs)" in out
+        assert "convergence preconditions: FAIL (redundancy not applicable, alpha <= 0)" in out
+        assert main(["run", str(inapplicable_redundancy_scenario), "-o", str(tmp_path / "out")]) == 0
+        summary = read_summary(tmp_path / "out")
+        assert summary["redundancy_ok"] is False
+        assert summary["warnings"][0] == (
+            "redundancy check not applicable: redundancy check requires strictly convex honest costs"
+        )
+        assert not any("not redundant" in w for w in summary["warnings"])
 
 
 @st.composite
@@ -214,14 +272,27 @@ def explicit_cost_scenarios(draw):
 class TestCheckRunAgreement:
     @settings(max_examples=60, deadline=None)
     @given(explicit_cost_scenarios())
+    @example(INAPPLICABLE_REDUNDANCY)
     def test_check_refuses_exactly_what_run_refuses(self, mapping):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "scenario.yaml"
             path.write_text(dump_scenario(mapping))
-            check_code = main(["check", str(path)])
+            report = io.StringIO()
+            with contextlib.redirect_stdout(report):
+                check_code = main(["check", str(path)])
             run_code = main(["run", str(path), "-o", str(Path(tmp) / "out")])
+            summary = read_summary(Path(tmp) / "out") if run_code == 0 else None
         assert check_code in (0, 2, 3) and run_code in (0, 2, 3)
         assert (check_code == 2) == (run_code == 2)
+        if summary is not None:
+            # the redundancy verdicts of the two commands agree
+            verdicts = {
+                "OK": summary["redundancy_ok"],
+                "FAIL": any(w.startswith("ensemble is not redundant") for w in summary["warnings"]),
+                "not applicable": any(w.startswith("redundancy check not applicable") for w in summary["warnings"]),
+            }
+            line = re.search(r"^redundancy: (OK|FAIL|not applicable)\b", report.getvalue(), re.MULTILINE)
+            assert [name for name, held in verdicts.items() if held] == [line.group(1)]
 
 
 class TestSweep:
@@ -282,6 +353,27 @@ class TestSweep:
 
     def test_bad_sweep_spec(self, sweep_base, tmp_path, capsys):
         assert main(["run", str(sweep_base), "-o", str(tmp_path / "x"), "--sweep", "nonsense"]) == 2
+
+    @pytest.mark.parametrize("content", [b"version: 1\nn: [unclosed\n", b"version: 1\n\xff\xfe\n"], ids=["yaml", "utf8"])
+    def test_malformed_base_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(content)
+        assert main(["run", str(path), "-o", str(tmp_path / "out"), "--sweep", "seed=1..2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+
+    def test_aborted_point_recorded(self, tmp_path, capsys):
+        mapping = build_template("redundant_quadratic", n=5, f=1, d=2, seed=3, horizon=10)
+        mapping["adversary"] = {"kind": "norm_inflate", "scale": 1.0}
+        path = tmp_path / "base.yaml"
+        path.write_text(dump_scenario(mapping))
+        out = tmp_path / "sweep"
+        # 1.0e+14, not 1e14, which YAML 1.1 reads as a string
+        assert main(["run", str(path), "-o", str(out), "--sweep", "adversary.scale=1.0,1.0e+14"]) == 3
+        points = json.loads((out / "index.json").read_text())["points"]
+        assert [p["status"] for p in points] == ["ok", "aborted"]
+        assert "round 0" in points[1]["error"]
 
     def test_singular_points_recorded_as_config_errors(self, singular_scenario, tmp_path, capsys):
         out = tmp_path / "sweep"

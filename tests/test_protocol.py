@@ -213,30 +213,30 @@ class TestHonestStep:
 class TestAdversaries:
     def test_sign_flip_negates_mean_gradient(self):
         observed = make_observed([[0.0, 0.0], [2.0, 2.0]], [[1.0, -2.0], [1.0, -2.0]], 5.0, 10.0)
-        strategy = AdversaryStrategy(kind="sign_flip", seed=0)
-        msg = adversary_emit(strategy, 0, 9, 1, observed, stream(strategy.seed))
+        strategy = AdversaryStrategy(kind="sign_flip")
+        msg = adversary_emit(strategy, 0, 9, 1, observed, stream(0))
         assert np.array_equal(msg.grad, [-1.0, 2.0])
         assert np.array_equal(msg.estimate, [1.0, 1.0])
 
     def test_norm_inflate_scales(self):
         observed = make_observed([[0.0]], [[1.0]], 5.0, 10.0)
-        strategy = AdversaryStrategy(kind="norm_inflate", scale=10.0, seed=0)
-        msg = adversary_emit(strategy, 3, 9, 0, observed, stream(strategy.seed))
+        strategy = AdversaryStrategy(kind="norm_inflate", scale=10.0)
+        msg = adversary_emit(strategy, 3, 9, 0, observed, stream(0))
         assert np.linalg.norm(msg.grad) == pytest.approx(10.0, abs=1e-12)
 
     def test_coord_extreme_picks_far_corner(self):
         observed = make_observed([[1.0, -3.0], [2.0, -1.0], [3.0, -2.0]], np.zeros((3, 2)), 5.0, 1.0)
-        strategy = AdversaryStrategy(kind="coord_extreme", seed=0)
-        msg = adversary_emit(strategy, 0, 9, 0, observed, stream(strategy.seed))
+        strategy = AdversaryStrategy(kind="coord_extreme")
+        msg = adversary_emit(strategy, 0, 9, 0, observed, stream(0))
         # medians (2, -2): farthest corners are -5 and +5
         assert np.array_equal(msg.estimate, [-5.0, 5.0])
         assert np.array_equal(msg.grad, [0.0, 0.0])
 
     def test_random_in_box_replays_identically(self):
         observed = make_observed([[0.5, 0.5]], [[1.0, 1.0]], 2.0, 7.0)
-        strategy = AdversaryStrategy(kind="random_in_box", seed=99)
-        first = adversary_emit(strategy, 11, 8, 3, observed, stream(strategy.seed))
-        second = adversary_emit(strategy, 11, 8, 3, observed, stream(strategy.seed))
+        strategy = AdversaryStrategy(kind="random_in_box")
+        first = adversary_emit(strategy, 11, 8, 3, observed, stream(99))
+        second = adversary_emit(strategy, 11, 8, 3, observed, stream(99))
         assert np.array_equal(first.estimate, second.estimate)
         assert np.array_equal(first.grad, second.grad)
         assert (np.abs(first.estimate) <= 2.0).all()
@@ -244,16 +244,16 @@ class TestAdversaries:
 
     def test_random_in_box_differs_across_receivers_and_rounds(self):
         observed = make_observed([[0.0]], [[0.0]], 1.0, 1.0)
-        strategy = AdversaryStrategy(kind="random_in_box", seed=1)
-        a = adversary_emit(strategy, 0, 9, 1, observed, stream(strategy.seed))
-        b = adversary_emit(strategy, 0, 9, 2, observed, stream(strategy.seed))
-        c = adversary_emit(strategy, 1, 9, 1, observed, stream(strategy.seed))
+        strategy = AdversaryStrategy(kind="random_in_box")
+        a = adversary_emit(strategy, 0, 9, 1, observed, stream(1))
+        b = adversary_emit(strategy, 0, 9, 2, observed, stream(1))
+        c = adversary_emit(strategy, 1, 9, 1, observed, stream(1))
         assert not np.array_equal(a.estimate, b.estimate)
         assert not np.array_equal(a.estimate, c.estimate)
 
     def test_stream_matches_fresh_generators(self):
         observed = make_observed([[0.25, -0.5]], [[0.0, 0.0]], 3.0, 4.0)
-        strategy = AdversaryStrategy(kind="random_in_box", seed=5)
+        strategy = AdversaryStrategy(kind="random_in_box")
         msg = adversary_emit(strategy, 7, 6, 2, observed, stream(5))
         # the strategy draws its estimate, then its gradient, from the (7, 6, 2) substream
         fresh = substream(5, PURPOSE_ADVERSARY, 7, 6, 2)
@@ -263,8 +263,8 @@ class TestAdversaries:
     def test_collude_target_pulls_with_norm_zeta(self):
         observed = make_observed([[1.0, 0.0], [3.0, 0.0]], np.zeros((2, 2)), 5.0, 6.0)
         target = np.array([-2.0, 0.0])
-        strategy = AdversaryStrategy(kind="collude_target", target=target, seed=0)
-        msg = adversary_emit(strategy, 0, 9, 1, observed, stream(strategy.seed))
+        strategy = AdversaryStrategy(kind="collude_target", target=target)
+        msg = adversary_emit(strategy, 0, 9, 1, observed, stream(0))
         assert np.array_equal(msg.estimate, target)
         assert np.linalg.norm(msg.grad) == pytest.approx(6.0, abs=1e-12)
         # pull points from the target toward the honest mean (2, 0)
@@ -272,16 +272,16 @@ class TestAdversaries:
 
     def test_collude_target_zero_pull_degenerates(self):
         observed = make_observed([[1.0]], np.zeros((1, 1)), 5.0, 6.0)
-        strategy = AdversaryStrategy(kind="collude_target", target=np.array([1.0]), seed=0)
-        assert np.array_equal(adversary_emit(strategy, 0, 9, 0, observed, stream(strategy.seed)).grad, [0.0])
+        strategy = AdversaryStrategy(kind="collude_target", target=np.array([1.0]))
+        assert np.array_equal(adversary_emit(strategy, 0, 9, 0, observed, stream(0)).grad, [0.0])
 
     def test_collude_target_random_estimates_mode(self):
         observed = make_observed([[1.0], [2.0]], np.zeros((2, 1)), 5.0, 6.0)
         strategy = AdversaryStrategy(
-            kind="collude_target", target=np.array([4.0]), estimates="random_in_box", seed=3
+            kind="collude_target", target=np.array([4.0]), estimates="random_in_box"
         )
-        a = adversary_emit(strategy, 0, 9, 1, observed, stream(strategy.seed))
-        b = adversary_emit(strategy, 0, 9, 2, observed, stream(strategy.seed))
+        a = adversary_emit(strategy, 0, 9, 1, observed, stream(3))
+        b = adversary_emit(strategy, 0, 9, 2, observed, stream(3))
         assert not np.array_equal(a.estimate, b.estimate)  # per-receiver inconsistency
         assert np.array_equal(a.grad, b.grad)  # the colluding pull stays agreed
         assert abs(a.estimate[0]) <= 5.0

@@ -32,7 +32,6 @@ class TestParsing:
         assert scenario.n == 5 and scenario.f == 1 and scenario.d == 2
         assert scenario.faulty_ids == frozenset({4})
         assert scenario.ensemble.honest_set == frozenset({0, 1, 2, 3})
-        assert scenario.adversary.seed == scenario.seed
 
     def test_unknown_top_level_key_pinpoints_line(self):
         text = MINIMAL + "typo_key: 3\n"
