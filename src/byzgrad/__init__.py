@@ -2,7 +2,8 @@
 
 Honest agents fuse received estimates by coordinate-wise trimmed
 averaging, aggregate gradients by eliminating the largest norms, step, and
-project back into a hypercube. The simulator runs that protocol
+project back into a hypercube (`fuse_estimates`, `cge_f`, `project_box`,
+composed by `honest_round`). The simulator runs that protocol
 synchronously over a complete graph against pluggable adversaries, fully
 deterministic from one seed, and measures whether the consensus and
 validity guarantees actually hold.
@@ -18,12 +19,11 @@ from .costs import (
     spectral_constants,
 )
 from .errors import ConfigError, SimulationAbort
-from .filters import Hypercube, Point, as_point, avg, cge_f, fuse_estimates, project_box, trim_f
+from .filters import Hypercube, Point, as_point, cge_f, fuse_estimates, project_box
 from .metrics import RoundTrace, check_zeta, consensus_diameter, lyapunov_v, max_distance
 from .protocol import (
     AdversaryStrategy,
     ObservedRound,
-    RoundMessage,
     StepSchedule,
     adversary_emit,
     eta,
@@ -43,7 +43,6 @@ __all__ = [
     "ObservedRound",
     "Point",
     "QuadraticCost",
-    "RoundMessage",
     "RoundTrace",
     "RunResult",
     "Scenario",
@@ -53,7 +52,6 @@ __all__ = [
     "adversary_emit",
     "aggregate_minimizer",
     "as_point",
-    "avg",
     "build_template",
     "cge_f",
     "check_redundancy_sufficient",
@@ -72,5 +70,4 @@ __all__ = [
     "run",
     "scenario_digest",
     "spectral_constants",
-    "trim_f",
 ]

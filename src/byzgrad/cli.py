@@ -125,6 +125,8 @@ def _sweep_worker(args: tuple) -> dict:
         return {"point": label, "status": "config_error", "error": str(exc)}
     except SimulationAbort as exc:
         return {"point": label, "status": "aborted", "error": str(exc)}
+    except OSError as exc:
+        return {"point": label, "status": "os_error", "error": str(exc)}
     return {
         "point": label,
         "status": "ok",
@@ -153,7 +155,11 @@ def _parse_sweep(spec: str) -> tuple[str, list]:
         if hi < lo:
             raise ConfigError(f"sweep range is empty: {raw!r}")
         return key, list(range(lo, hi + 1))
-    values = [yaml.safe_load(part.strip()) for part in raw.split(",")]
+    try:
+        values = [yaml.safe_load(part.strip()) for part in raw.split(",")]
+    except yaml.YAMLError as exc:
+        # YAML's message spans several lines; an error is reported on one
+        raise ConfigError(f"sweep values {raw!r} are not valid YAML: {' '.join(str(exc).split())}")
     return key, values
 
 
@@ -206,7 +212,7 @@ def cmd_run(args) -> int:
         print(f"{point['point']}: {status} {extra}".rstrip())
     if any(p["status"] == "aborted" for p in points):
         return 3
-    if any(p["status"] == "config_error" for p in points):
+    if any(p["status"] != "ok" for p in points):
         return 2
     return 0
 

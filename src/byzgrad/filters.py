@@ -1,10 +1,13 @@
 """Numerical primitives of the fault-tolerant update.
 
-Three operations do all the robustness work: clamping a point into a
-hypercube, coordinate-wise trimming of scalar sets, and elimination of the
-largest-norm gradient vectors before summing. ``fuse_estimates`` is the
-per-coordinate body of the estimate fusion: trim the received values, then
-average the survivors together with the agent's own value.
+Three operations do all the robustness work, and an honest agent's round
+(`protocol.honest_round`) is exactly their composition: `fuse_estimates`
+trims the f smallest and f largest received values of each coordinate and
+averages the survivors with the agent's own value, `cge_f` eliminates the
+f largest-norm gradients and sums the rest, and `project_box` clamps the
+stepped point into the hypercube. Fusion is well defined from 2f received
+values on; at exactly 2f the trim discards them all and the agent keeps
+its own estimate.
 
 Everything here is pure and operates on plain float64 numpy arrays.
 Non-finite inputs are rejected loudly; bounding adversarial values is the
@@ -18,12 +21,18 @@ import numpy as np
 Point = np.ndarray  # 1-D float64 vector; validated by as_point
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    # count_nonzero skips the reduction machinery behind .all(), which costs
+    # more than the test itself on the few values of one round
+    return np.count_nonzero(np.isfinite(arr)) == arr.size
+
+
 def as_point(coords, dim: int | None = None) -> Point:
     """Validate and return `coords` as a finite 1-D float64 vector."""
     arr = np.asarray(coords, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"point must be a 1-D vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise ValueError("point has non-finite coordinates")
     if dim is not None and arr.size != dim:
         raise ValueError(f"expected dimension {dim}, got {arr.size}")
@@ -39,9 +48,9 @@ class Hypercube:
 
     def __post_init__(self):
         if not (0.0 < self.xi < np.inf):
-            raise ValueError(f"half-width must be positive and finite, got {self.xi}")
+            raise ValueError(f"half-width xi must be positive and finite, got {self.xi}")
         if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
+            raise ValueError(f"dimension d must be >= 1, got {self.d}")
 
     def contains(self, x: Point) -> bool:
         return bool((np.abs(np.asarray(x)) <= self.xi).all())
@@ -49,39 +58,9 @@ class Hypercube:
 
 def project_box(x: Point, box: Hypercube) -> Point:
     """Clamp each coordinate of `x` into [-xi, xi]."""
-    x = as_point(x)
-    if x.size != box.d:
-        raise ValueError(f"point has dimension {x.size}, box has {box.d}")
-    return np.clip(x, -box.xi, box.xi)
-
-
-def trim_f(values, f: int) -> np.ndarray:
-    """Drop the f smallest and f largest of n values, keeping a sorted multiset.
-
-    Requires n >= 2f + 1. Duplicates are preserved; the result has exactly
-    n - 2f entries, all within [min(values), max(values)].
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a flat sequence of reals, got shape {arr.shape}")
-    if f < 0:
-        raise ValueError(f"trim count must be non-negative, got {f}")
-    n = arr.size
-    if n <= 2 * f:
-        raise ValueError(f"need at least 2f+1 = {2 * f + 1} values to trim f = {f}, got {n}")
-    if not np.isfinite(arr).all():
-        raise ValueError("cannot trim non-finite values")
-    return np.sort(arr)[f : n - f]
-
-
-def avg(values) -> float:
-    """Arithmetic mean of a nonempty sequence of finite reals."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("cannot average an empty sequence")
-    if not np.isfinite(arr).all():
-        raise ValueError("cannot average non-finite values")
-    return float(arr.mean())
+    x = as_point(x, box.d)
+    # np.clip's values on finite input, at about half its call overhead
+    return np.minimum(np.maximum(x, -box.xi), box.xi)
 
 
 def cge_f(vectors, f: int) -> Point:
@@ -101,22 +80,37 @@ def cge_f(vectors, f: int) -> Point:
     n = arr.shape[0]
     if n <= f:
         raise ValueError(f"need at least f+1 = {f + 1} vectors to eliminate f = {f}, got {n}")
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise ValueError("cannot aggregate non-finite vectors")
-    norms = np.sqrt((arr * arr).sum(axis=1))
+    norms = np.sqrt(np.add.reduce(arr * arr, axis=1))
     order = np.argsort(norms, kind="stable")
     # accumulate adds row by row; sum(axis=0) would sum pairwise and change bits
     return np.add.accumulate(arr[order[: n - f]], axis=0)[-1]
 
 
-def fuse_estimates(own: float, received, f: int) -> float:
+def fuse_estimates(own, received, f: int):
     """Average the agent's own value with the trimmed received values.
 
-    `received` holds the n-1 values reported by the other agents for one
-    coordinate; at least 2f+1 are required so the trim is well defined.
+    Works along axis 0: `own` is a scalar or a (d,) vector and `received`
+    holds m values of the same shape, (m,) or (m, d), one per other agent.
+    Per coordinate, the f smallest and f largest received values are
+    dropped and the m - 2f survivors are averaged together with `own`.
+    Requires m >= 2f; at m = 2f the result is `own`.
     """
-    own = float(own)
-    if not np.isfinite(own):
-        raise ValueError("own value must be finite")
-    kept = trim_f(received, f)
-    return avg(np.concatenate(([own], kept)))
+    own = np.asarray(own, dtype=np.float64)
+    received = np.asarray(received, dtype=np.float64)
+    if received.ndim != own.ndim + 1 or received.shape[1:] != own.shape:
+        raise ValueError(f"received values of shape {received.shape} do not match own value of shape {own.shape}")
+    if f < 0:
+        raise ValueError(f"trim count must be non-negative, got {f}")
+    m = received.shape[0]
+    if m < 2 * f:
+        raise ValueError(f"need at least 2f = {2 * f} received values to trim f = {f}, got {m}")
+    ordered = np.sort(received, axis=0)
+    # own sits just before the survivors: one finiteness check covers every
+    # input, and own followed by the survivors is one contiguous slice
+    stacked = np.concatenate((ordered[:f], own[None], ordered[f:]))
+    if not _all_finite(stacked):
+        raise ValueError("cannot fuse non-finite values")
+    # the sum and division np.mean does, without its Python-level wrapper
+    return np.add.reduce(stacked[f : m - f + 1], axis=0) / (m - 2 * f + 1)

@@ -1,10 +1,12 @@
 """Agent behaviors: the honest update rule and the Byzantine senders.
 
-An honest agent's round has a fixed shape: fuse the received estimates with
-its own (coordinate-wise trim then average), filter the n gradients (its
-own plus the n-1 received) by eliminating the f largest norms and summing
-the rest, take a step against the filtered gradient, and clamp back into
-the box. The agent reads its round from two (n, d) arrays indexed by
+An honest agent's round is the composition of the three filters in
+`filters`: `fuse_estimates` fuses the n-1 received estimates with its own
+(coordinate-wise trim then average; at n = 2f+1 the trim keeps only its
+own), `cge_f` filters the n gradients (its own plus the n-1 received) by
+eliminating the f largest norms and summing the rest, the agent steps
+against the filtered gradient, and `project_box` clamps the result back
+into the box. The agent reads its round from two (n, d) arrays indexed by
 sender id, with its own estimate and gradient in the row of its own id;
 nothing else about the agent enters the update. Faulty agents are free of
 any such shape; they may send each receiver a different, arbitrary
@@ -36,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .filters import Hypercube, Point, as_point, cge_f
+from .filters import Hypercube, Point, as_point, cge_f, fuse_estimates, project_box
 from .seeds import CounterStream
 
 # Coordinates of admitted messages must not exceed this magnitude. Faulty
@@ -45,13 +47,6 @@ MESSAGE_COORD_LIMIT = 1e12
 
 ADVERSARY_KINDS = ("sign_flip", "norm_inflate", "coord_extreme", "random_in_box", "collude_target")
 ESTIMATE_MODES = ("target", "random_in_box")
-
-
-class RoundMessage(NamedTuple):
-    """The (estimate, gradient) pair one agent sends another in one round."""
-
-    estimate: Point
-    grad: Point
 
 
 @dataclass(frozen=True)
@@ -164,8 +159,8 @@ def adversary_emit(
     receiver: int,
     observed: ObservedRound,
     stream: CounterStream,
-) -> RoundMessage:
-    """Produce the message a faulty `sender` gives `receiver` in `round_`.
+) -> tuple[Point, Point]:
+    """The (estimate, gradient) pair a faulty `sender` gives `receiver` in `round_`.
 
     `stream` is the CounterStream of the run seed and the adversary purpose;
     randomized strategies draw from it at (round_, sender, receiver).
@@ -174,22 +169,22 @@ def adversary_emit(
     kind = strategy.kind
 
     if kind == "sign_flip":
-        return RoundMessage(observed.estimate_mean, -observed.gradient_mean)
+        return observed.estimate_mean, -observed.gradient_mean
 
     if kind == "norm_inflate":
-        return RoundMessage(observed.estimate_mean, strategy.scale * observed.gradient_mean)
+        return observed.estimate_mean, strategy.scale * observed.gradient_mean
 
     if kind == "coord_extreme":
         # the corner with median <= 0 per coordinate maximizes |corner - median|
         estimate = np.where(observed.estimate_median <= 0.0, box.xi, -box.xi)
-        return RoundMessage(estimate, np.zeros(box.d))
+        return estimate, np.zeros(box.d)
 
     rng = stream.at(round_, sender, receiver)
 
     if kind == "random_in_box":
         estimate = rng.uniform(-box.xi, box.xi, size=box.d)
         grad = rng.uniform(-zeta, zeta, size=box.d)
-        return RoundMessage(estimate, grad)
+        return estimate, grad
 
     # collude_target
     grad = observed.colluding_pull(strategy.target)
@@ -197,7 +192,7 @@ def adversary_emit(
         estimate = rng.uniform(-box.xi, box.xi, size=box.d)
     else:
         estimate = strategy.target
-    return RoundMessage(estimate, grad)
+    return estimate, grad
 
 
 def honest_round(
@@ -215,31 +210,20 @@ def honest_round(
     agent's own estimate and gradient; every other row is the message that
     sender gave this agent.
 
-    Degenerate cases: a single-agent system (n = 1, f = 0) reduces to plain
-    projected gradient descent, and at the minimum system size n = 2f + 1
-    the trim discards all n-1 received values, so the fusion keeps only the
-    agent's own estimate.
+    The round is `fuse_estimates` on the estimates, `cge_f` on the
+    gradients, a step of size `eta_t`, and `project_box`. A single-agent
+    system (n = 1, f = 0) reduces to plain projected gradient descent.
     """
-    d = box.d
     estimates = np.asarray(estimates, dtype=np.float64)
     gradients = np.asarray(gradients, dtype=np.float64)
-    if f < 0:
-        raise ValueError(f"fault count must be non-negative, got {f}")
-    if estimates.ndim != 2 or estimates.shape[1] != d or gradients.shape != estimates.shape:
-        raise ValueError(f"agent {me}: inbox shapes {estimates.shape} and {gradients.shape} are not both (n, {d})")
-    n = estimates.shape[0]
-    if not 0 <= me < n:
-        raise ValueError(f"agent {me}: inbox has no row for its own id among {n} senders")
-    if n - 1 < 2 * f:
-        raise ValueError(f"agent {me}: {n - 1} received messages cannot be trimmed with f = {f}")
-
-    # fused estimate: per coordinate, trim f from each end of the received
-    # values (every row but ours), then average the survivors with our own
-    received = np.concatenate((estimates[:me], estimates[me + 1 :]))
-    kept = np.sort(received, axis=0)[f : n - 1 - f]
-    fused = np.concatenate((estimates[me : me + 1], kept)).mean(axis=0)
-    # gradients enter elimination in agent-id order, ours in its own slot
-    filtered = cge_f(gradients, f)
-
-    stepped = fused - eta_t * filtered
-    return RoundOutcome(np.clip(stepped, -box.xi, box.xi), filtered)
+    if estimates.ndim != 2 or estimates.shape[1] != box.d or gradients.shape != estimates.shape:
+        raise ValueError(f"agent {me}: inbox shapes {estimates.shape} and {gradients.shape} are not both (n, {box.d})")
+    if not 0 <= me < estimates.shape[0]:
+        raise ValueError(f"agent {me}: inbox has no row for its own id among {estimates.shape[0]} senders")
+    try:
+        fused = fuse_estimates(estimates[me], np.concatenate((estimates[:me], estimates[me + 1 :])), f)
+        # gradients enter elimination in agent-id order, ours in its own slot
+        filtered = cge_f(gradients, f)
+        return RoundOutcome(project_box(fused - eta_t * filtered, box), filtered)
+    except ValueError as exc:
+        raise ValueError(f"agent {me}: {exc}") from exc

@@ -26,6 +26,7 @@ in the hash.
 """
 
 import hashlib
+import inspect
 import json
 from dataclasses import dataclass
 
@@ -346,6 +347,7 @@ def template_redundant_quadratic(
     """
     if n < 2 * f + 1:
         raise ValueError(f"need n >= 2f+1, got n={n}, f={f}")
+    Hypercube(float(xi), d)  # refuses xi and d before anything is drawn
     adversary = {"kind": "collude_target", "target": [float(xi)] * d, "estimates": "random_in_box"}
     generator = {
         "seed": seed,
@@ -371,8 +373,7 @@ def template_violated_redundancy(
         raise ValueError("violated_redundancy needs f >= 1; f = 0 is always redundant")
     if n < 2 * f + 1:
         raise ValueError(f"need n >= 2f+1, got n={n}, f={f}")
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    Hypercube(float(xi), d)  # refuses xi and d before anything is built
     spread = np.linspace(-0.5 * xi, 0.5 * xi, n)
     costs = []
     for i in range(n):
@@ -402,9 +403,9 @@ def template_margin_negative(
         raise ValueError("margin_negative needs f >= 1; the margin is positive when f = 0")
     if n < 2 * f + 1:
         raise ValueError(f"need n >= 2f+1, got n={n}, f={f}")
+    box = Hypercube(float(xi), d)  # refuses xi and d before anything is drawn
     x_star = _interior_point(seed, d, xi)
     honest_set = frozenset(range(n - f))  # as _template_mapping declares
-    box = Hypercube(float(xi), d)
 
     def build(eps: float | None) -> list[dict]:
         out = []
@@ -462,4 +463,8 @@ def build_template(name: str, **params) -> dict:
     """Dispatch a template by its scenario-file name."""
     if name not in _TEMPLATE_BUILDERS:
         raise ValueError(f"unknown template {name!r}; known: {TEMPLATES}")
-    return _TEMPLATE_BUILDERS[name](**params)
+    make_mapping = _TEMPLATE_BUILDERS[name]
+    unknown = sorted(set(params) - set(inspect.signature(make_mapping).parameters))
+    if unknown:
+        raise ValueError(f"template {name!r} takes no parameter {', '.join(unknown)}")
+    return make_mapping(**params)

@@ -246,7 +246,7 @@ def run(scenario: Scenario) -> RunResult:
             try:
                 next_estimates[b], filtered[b] = honest_round(i, inbox_est, inbox_grad, eta_t, scenario.f, box)
             except ValueError as exc:
-                raise SimulationAbort(t, f"agent {i}: {exc}") from exc
+                raise SimulationAbort(t, str(exc)) from exc
 
         if t % stride == 0 or t == horizon:
             diameter_inf, diameter_l2 = consensus_diameter(estimates)

@@ -55,6 +55,12 @@ def read_summary(out_dir):
     return json.loads((out_dir / "summary.json").read_text())
 
 
+# every template with each flag at 0, and with a negative half-width
+GEN_REFUSALS = [
+    (t, flag, "0") for t in TEMPLATES for flag in ("--xi", "--horizon", "--d", "--eig-min", "--record-every")
+] + [(t, "--xi", "-1") for t in TEMPLATES]
+
+
 class TestGen:
     def test_emits_parseable_scenario(self, capsys, tmp_path):
         assert main(["gen", "redundant_quadratic", "--n", "9", "--f", "2", "--d", "2", "--seed", "4", "--horizon", "30"]) == 0
@@ -72,13 +78,18 @@ class TestGen:
     def test_bad_params_exit_2(self, capsys):
         assert main(["gen", "margin_negative", "--f", "0"]) == 2
 
-    @pytest.mark.parametrize("flag", ["--xi", "--horizon", "--d", "--eig-min", "--record-every"])
-    @pytest.mark.parametrize("template", TEMPLATES)
-    def test_prints_no_file_that_run_refuses(self, capsys, template, flag):
-        assert main(["gen", template, flag, "0"]) == 2
+    @pytest.mark.parametrize(
+        "template, flag, value",
+        GEN_REFUSALS,
+        ids=[f"{t}-{flag}" + ("" if value == "0" else f"={value}") for t, flag, value in GEN_REFUSALS],
+    )
+    def test_prints_no_file_that_run_refuses(self, capsys, template, flag, value):
+        assert main(["gen", template, flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        # the refusal names the parameter, not a Python internal
+        assert re.search(rf"\b{flag[2:].replace('-', '_')}\b", captured.err), captured.err
 
 
 class TestRun:
@@ -353,6 +364,23 @@ class TestSweep:
 
     def test_bad_sweep_spec(self, sweep_base, tmp_path, capsys):
         assert main(["run", str(sweep_base), "-o", str(tmp_path / "x"), "--sweep", "nonsense"]) == 2
+
+    @pytest.mark.parametrize("spec", ["f=[1", "seed=1,{a"])
+    def test_malformed_sweep_value_exits_2(self, sweep_base, tmp_path, capsys, spec):
+        assert main(["run", str(sweep_base), "-o", str(tmp_path / "x"), "--sweep", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep values") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unwritable_point_recorded(self, sweep_base, tmp_path, capsys, jobs):
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "seed=2").write_text("a file where the point's directory would go\n")
+        assert main(["run", str(sweep_base), "-o", str(out), "--sweep", "seed=1..3", "--jobs", jobs]) == 2
+        points = json.loads((out / "index.json").read_text())["points"]
+        assert [p["status"] for p in points] == ["ok", "os_error", "ok"]
+        assert "seed=2" in points[1]["error"]
+        assert (out / "seed=3" / "trace.csv").exists()
 
     @pytest.mark.parametrize("content", [b"version: 1\nn: [unclosed\n", b"version: 1\n\xff\xfe\n"], ids=["yaml", "utf8"])
     def test_malformed_base_exits_2(self, tmp_path, capsys, content):

@@ -5,12 +5,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from byzgrad import Hypercube, avg, cge_f, fuse_estimates, project_box, trim_f
+from byzgrad import Hypercube, cge_f, fuse_estimates, project_box
 
 
 def sort_slice_oracle(values, f):
     ordered = sorted(float(v) for v in values)
     return ordered[f : len(ordered) - f]
+
+
+def fusion_oracle(own, received, f):
+    """The exact mean of `own` and the sort-slice survivors, and the survivors."""
+    kept = sort_slice_oracle(received, f)
+    return math.fsum([float(own), *kept]) / (1 + len(kept)), kept
+
+
+def rounding_slack(values):
+    # a float mean of k values may round a few units in the last place past
+    # the exact mean, and past the range of its inputs
+    return 4 * len(values) * np.finfo(float).eps * max(abs(v) for v in values)
 
 
 def cge_oracle(vectors, f):
@@ -68,60 +80,71 @@ class TestProjectBox:
 
 
 class TestTrim:
+    """The trim inside fusion, checked through `fuse_estimates`."""
+
     def test_drops_one_extreme_each_side(self):
-        assert list(trim_f([5, 1, 3, 2, 4], 1)) == [2, 3, 4]
+        # survivors 2, 3, 4 averaged with own 0; without the trim, 2.5
+        assert fuse_estimates(0.0, [5, 1, 3, 2, 4], 1) == 2.25
 
     def test_identity_when_f_zero(self):
-        assert list(trim_f([7], 0)) == [7]
+        assert fuse_estimates(1.0, [7], 0) == 4.0
 
     def test_duplicates_preserved(self):
         values = [1, 1, 9, 1, 1, -9, 1]
         expected = sort_slice_oracle(values, 2)
         assert expected == [1, 1, 1]
-        assert list(trim_f(values, 2)) == expected
+        # own 5 with the three surviving 1s; a set of survivors would give 3
+        assert fuse_estimates(5.0, values, 2) == 2.0
 
     def test_too_few_values(self):
         with pytest.raises(ValueError):
-            trim_f([1.0, 2.0], 1)
+            fuse_estimates(0.0, [1.0], 1)
 
     def test_non_finite(self):
         with pytest.raises(ValueError):
-            trim_f([1.0, np.inf, 2.0], 0)
+            fuse_estimates(0.0, [1.0, np.inf, 2.0], 0)
+        # refused even where the trim would have dropped it
+        with pytest.raises(ValueError):
+            fuse_estimates(0.0, [1.0, np.inf, 2.0], 1)
+        with pytest.raises(ValueError):
+            fuse_estimates(np.nan, [1.0, 2.0, 3.0], 1)
 
     @given(
         st.integers(0, 3).flatmap(
             lambda f: st.tuples(
                 st.just(f),
-                st.lists(st.floats(-1e9, 1e9), min_size=2 * f + 1, max_size=2 * f + 9),
+                st.floats(-1e9, 1e9),
+                st.lists(st.floats(-1e9, 1e9), min_size=2 * f, max_size=2 * f + 9),
             )
         )
     )
     def test_containment_and_size(self, case):
-        f, values = case
-        kept = trim_f(values, f)
-        assert kept.size == len(values) - 2 * f
-        assert kept.min() >= min(values) and kept.max() <= max(values)
-        assert list(kept) == sort_slice_oracle(values, f)
+        f, own, values = case
+        want, kept = fusion_oracle(own, values, f)
+        assert len(kept) == len(values) - 2 * f
+        fused = fuse_estimates(own, values, f)
+        slack = rounding_slack([own, *kept])
+        assert abs(fused - want) <= slack
+        assert min([own, *kept]) - slack <= fused <= max([own, *kept]) + slack
 
     @given(st.floats(-1e6, 1e6), st.integers(0, 3), st.integers(0, 5))
     def test_constant_sequence_stays_constant(self, c, f, extra):
-        values = [c] * (2 * f + 1 + extra)
-        assert all(v == c for v in trim_f(values, f))
+        values = [c] * (2 * f + extra)
+        assert abs(fuse_estimates(c, values, f) - c) <= rounding_slack([c] * (1 + extra))
 
-
-class TestAvg:
-    def test_pair(self):
-        assert avg([2, 4]) == 3
-
-    def test_singleton(self):
-        assert avg([2.5]) == 2.5
-
-    def test_symmetry(self):
-        assert avg([-1, 0, 1]) == 0
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            avg([])
+    def test_vectors_fuse_per_coordinate(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            f = int(rng.integers(0, 4))
+            m = int(rng.integers(2 * f, 2 * f + 8))
+            d = int(rng.integers(1, 5))
+            own = rng.normal(size=d) * 10
+            received = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-3, 4, size=(m, d))
+            fused = fuse_estimates(own, received, f)
+            assert fused.shape == (d,)
+            for k in range(d):
+                want, kept = fusion_oracle(own[k], received[:, k], f)
+                assert abs(fused[k] - want) <= rounding_slack([own[k], *kept])
 
 
 class TestCge:
@@ -217,7 +240,18 @@ class TestFuseEstimates:
 
     def test_propagates_trim_errors(self):
         with pytest.raises(ValueError):
-            fuse_estimates(0.0, [1.0, 2.0], 1)
+            fuse_estimates(0.0, [1.0, 2.0, 3.0], 2)
+        with pytest.raises(ValueError):
+            fuse_estimates(0.0, [1.0, 2.0], -1)
+        with pytest.raises(ValueError):
+            fuse_estimates(np.zeros(2), np.zeros((4, 3)), 1)
+
+    def test_exactly_2f_received_returns_own(self):
+        # the minimum system n = 2f + 1: the trim discards every received value
+        assert fuse_estimates(0.5, [1.0, 2.0], 1) == 0.5
+        own = np.array([0.25, -3.0])
+        assert np.array_equal(fuse_estimates(own, np.array([[9.0, 9.0], [-9.0, 1.0]]), 1), own)
+        assert np.array_equal(fuse_estimates(own, np.empty((0, 2)), 0), own)
 
     def test_containment_under_adversarial_values(self):
         # up to f received values are arbitrary (huge magnitude); the fused

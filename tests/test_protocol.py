@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,10 @@ from byzgrad import (
     Hypercube,
     ObservedRound,
     QuadraticCost,
-    RoundMessage,
     StepSchedule,
     adversary_emit,
-    cge_f,
     eta,
-    fuse_estimates,
     honest_round,
-    project_box,
 )
 from byzgrad.seeds import PURPOSE_ADVERSARY, CounterStream, substream
 
@@ -32,17 +30,23 @@ def stream(seed):
 
 
 def reference_step(me, x, cost, inbox, eta_t, f, box):
-    """Straight-line composition: per-coordinate fusion, elimination, projection.
+    """Straight-line composition in plain Python, independent of the package.
 
     Agent `me` sits at `x` with local `cost`; `inbox` maps every other
-    sender id to its message.
+    sender id to its (estimate, gradient) pair. Per coordinate, the f
+    smallest and f largest received values are dropped (a sorted() slice)
+    and the rest averaged with our own; the f largest-norm gradients of all
+    n are dropped and the rest summed; the step is clamped into the box.
     """
     senders = sorted(inbox)
-    fused = np.array([fuse_estimates(x[k], [inbox[j].estimate[k] for j in senders], f) for k in range(x.size)])
-    ordered_ids = sorted(senders + [me])
-    grads = [cost.gradient(x) if j == me else inbox[j].grad for j in ordered_ids]
-    filtered = cge_f(np.stack(grads), f)
-    return project_box(fused - eta_t * filtered, box)
+    fused = []
+    for k in range(x.size):
+        kept = sorted(float(inbox[j][0][k]) for j in senders)[f : len(senders) - f]
+        fused.append((float(x[k]) + sum(kept)) / (1 + len(kept)))
+    grads = [cost.gradient(x) if j == me else inbox[j][1] for j in sorted(senders + [me])]
+    order = sorted(range(len(grads)), key=lambda i: math.sqrt(sum(float(c) ** 2 for c in grads[i])))
+    filtered = [sum(float(grads[i][k]) for i in order[: len(grads) - f]) for k in range(x.size)]
+    return np.array([min(max(u - eta_t * g, -box.xi), box.xi) for u, g in zip(fused, filtered)])
 
 
 def inbox_arrays(me, x, cost, inbox):
@@ -55,9 +59,9 @@ def inbox_arrays(me, x, cost, inbox):
     gradients = np.empty_like(estimates)
     estimates[me] = x
     gradients[me] = cost.gradient(x)
-    for j, msg in inbox.items():
-        estimates[j] = msg.estimate
-        gradients[j] = msg.grad
+    for j, (estimate, grad) in inbox.items():
+        estimates[j] = estimate
+        gradients[j] = grad
     return estimates, gradients
 
 
@@ -103,15 +107,15 @@ class TestHonestStep:
         # everyone already sits at the common minimizer: nothing moves
         d, c = 2, np.array([0.5, -0.25])
         cost = QuadraticCost(A=np.eye(d), b=c)
-        inbox = {j: RoundMessage(c.copy(), np.zeros(d)) for j in (1, 2, 3)}
+        inbox = {j: (c.copy(), np.zeros(d)) for j in (1, 2, 3)}
         out = honest_round(0, *inbox_arrays(0, c.copy(), cost, inbox), 0.7, 0, Hypercube(5.0, d)).estimate
         assert np.array_equal(out, c)
 
     def test_fusion_trims_then_gradient_steps(self):
         inbox = {
-            1: RoundMessage(np.array([1.0]), np.zeros(1)),
-            2: RoundMessage(np.array([2.0]), np.zeros(1)),
-            3: RoundMessage(np.array([100.0]), np.zeros(1)),
+            1: (np.array([1.0]), np.zeros(1)),
+            2: (np.array([2.0]), np.zeros(1)),
+            3: (np.array([100.0]), np.zeros(1)),
         }
         arrays = inbox_arrays(0, np.array([0.0]), zero_cost(1), inbox)
         out = honest_round(0, *arrays, 1.0, 1, Hypercube(10.0, 1)).estimate
@@ -121,9 +125,8 @@ class TestHonestStep:
         rng = np.random.default_rng(77)
         for _ in range(300):
             n = int(rng.integers(2, 9))
-            f = int(rng.integers(0, (n - 1) // 2 + 1)) if n >= 4 else 0
-            if n - 1 < 2 * f + 1:
-                f = 0
+            # up to the minimum system n = 2f + 1, where the trim keeps no received value
+            f = int(rng.integers(0, (n - 1) // 2 + 1))
             d = int(rng.integers(1, 5))
             box = Hypercube(5.0, d)
             me = int(rng.integers(0, n))
@@ -131,7 +134,7 @@ class TestHonestStep:
             cost = QuadraticCost(A=m @ m.T, b=rng.normal(size=d))
             x = rng.uniform(-5, 5, size=d)
             inbox = {
-                j: RoundMessage(rng.uniform(-8, 8, size=d), rng.normal(size=d) * 3)
+                j: (rng.uniform(-8, 8, size=d), rng.normal(size=d) * 3)
                 for j in range(n)
                 if j != me
             }
@@ -155,11 +158,11 @@ class TestHonestStep:
                 costs.append(QuadraticCost(A=m @ m.T, b=rng.normal(size=d)))
             box = Hypercube(50.0, d)
             eta_t = 0.05
-            inbox = {j: RoundMessage(x.copy(), costs[j].gradient(x)) for j in range(1, n)}
+            inbox = {j: (x.copy(), costs[j].gradient(x)) for j in range(1, n)}
             outcome = honest_round(0, *inbox_arrays(0, x.copy(), costs[0], inbox), eta_t, 0, box)
             total = sum(costs[j].gradient(x) for j in range(n))
             assert np.abs(outcome.filtered_gradient - total).max() <= 1e-12
-            expected = project_box(x - eta_t * total, box)
+            expected = np.clip(x - eta_t * total, -box.xi, box.xi)
             assert np.abs(outcome.estimate - expected).max() <= 1e-12
 
     def test_single_agent_degenerates_to_projected_descent(self):
@@ -175,7 +178,7 @@ class TestHonestStep:
         for _ in range(100):
             x = rng.uniform(-1, 1, size=d)
             inbox = {
-                j: RoundMessage(rng.normal(size=d) * 10.0 ** rng.integers(0, 10), rng.normal(size=d) * 100)
+                j: (rng.normal(size=d) * 10.0 ** rng.integers(0, 10), rng.normal(size=d) * 100)
                 for j in range(1, 6)
             }
             out = honest_round(0, *inbox_arrays(0, x, cost, inbox), float(rng.uniform(0, 2)), 2, box).estimate
@@ -183,9 +186,9 @@ class TestHonestStep:
 
     def test_pure(self):
         inbox = {
-            0: RoundMessage(np.array([1.0, 1.0]), np.array([0.5, 0.5])),
-            2: RoundMessage(np.array([-1.0, 2.0]), np.array([1.5, -0.5])),
-            3: RoundMessage(np.array([0.0, 0.0]), np.array([0.0, 0.1])),
+            0: (np.array([1.0, 1.0]), np.array([0.5, 0.5])),
+            2: (np.array([-1.0, 2.0]), np.array([1.5, -0.5])),
+            3: (np.array([0.0, 0.0]), np.array([0.0, 0.1])),
         }
         arrays = inbox_arrays(1, np.array([0.3, -0.7]), zero_cost(2), inbox)
         box = Hypercube(3.0, 2)
@@ -204,6 +207,9 @@ class TestHonestStep:
         # gradients of another dimension than the estimates
         with pytest.raises(ValueError, match="agent 4"):
             honest_round(4, np.zeros((5, 1)), np.zeros((5, 2)), 0.1, 0, box)
+        # a non-finite estimate, refused by the fusion
+        with pytest.raises(ValueError, match="agent 4: cannot fuse non-finite"):
+            honest_round(4, np.full((5, 1), np.nan), np.zeros((5, 1)), 0.1, 0, box)
 
     def test_lone_agent_with_positive_f_rejected(self):
         with pytest.raises(ValueError):
@@ -214,77 +220,77 @@ class TestAdversaries:
     def test_sign_flip_negates_mean_gradient(self):
         observed = make_observed([[0.0, 0.0], [2.0, 2.0]], [[1.0, -2.0], [1.0, -2.0]], 5.0, 10.0)
         strategy = AdversaryStrategy(kind="sign_flip")
-        msg = adversary_emit(strategy, 0, 9, 1, observed, stream(0))
-        assert np.array_equal(msg.grad, [-1.0, 2.0])
-        assert np.array_equal(msg.estimate, [1.0, 1.0])
+        estimate, grad = adversary_emit(strategy, 0, 9, 1, observed, stream(0))
+        assert np.array_equal(grad, [-1.0, 2.0])
+        assert np.array_equal(estimate, [1.0, 1.0])
 
     def test_norm_inflate_scales(self):
         observed = make_observed([[0.0]], [[1.0]], 5.0, 10.0)
         strategy = AdversaryStrategy(kind="norm_inflate", scale=10.0)
-        msg = adversary_emit(strategy, 3, 9, 0, observed, stream(0))
-        assert np.linalg.norm(msg.grad) == pytest.approx(10.0, abs=1e-12)
+        estimate, grad = adversary_emit(strategy, 3, 9, 0, observed, stream(0))
+        assert np.linalg.norm(grad) == pytest.approx(10.0, abs=1e-12)
 
     def test_coord_extreme_picks_far_corner(self):
         observed = make_observed([[1.0, -3.0], [2.0, -1.0], [3.0, -2.0]], np.zeros((3, 2)), 5.0, 1.0)
         strategy = AdversaryStrategy(kind="coord_extreme")
-        msg = adversary_emit(strategy, 0, 9, 0, observed, stream(0))
+        estimate, grad = adversary_emit(strategy, 0, 9, 0, observed, stream(0))
         # medians (2, -2): farthest corners are -5 and +5
-        assert np.array_equal(msg.estimate, [-5.0, 5.0])
-        assert np.array_equal(msg.grad, [0.0, 0.0])
+        assert np.array_equal(estimate, [-5.0, 5.0])
+        assert np.array_equal(grad, [0.0, 0.0])
 
     def test_random_in_box_replays_identically(self):
         observed = make_observed([[0.5, 0.5]], [[1.0, 1.0]], 2.0, 7.0)
         strategy = AdversaryStrategy(kind="random_in_box")
-        first = adversary_emit(strategy, 11, 8, 3, observed, stream(99))
-        second = adversary_emit(strategy, 11, 8, 3, observed, stream(99))
-        assert np.array_equal(first.estimate, second.estimate)
-        assert np.array_equal(first.grad, second.grad)
-        assert (np.abs(first.estimate) <= 2.0).all()
-        assert (np.abs(first.grad) <= 7.0).all()
+        first_estimate, first_grad = adversary_emit(strategy, 11, 8, 3, observed, stream(99))
+        second_estimate, second_grad = adversary_emit(strategy, 11, 8, 3, observed, stream(99))
+        assert np.array_equal(first_estimate, second_estimate)
+        assert np.array_equal(first_grad, second_grad)
+        assert (np.abs(first_estimate) <= 2.0).all()
+        assert (np.abs(first_grad) <= 7.0).all()
 
     def test_random_in_box_differs_across_receivers_and_rounds(self):
         observed = make_observed([[0.0]], [[0.0]], 1.0, 1.0)
         strategy = AdversaryStrategy(kind="random_in_box")
-        a = adversary_emit(strategy, 0, 9, 1, observed, stream(1))
-        b = adversary_emit(strategy, 0, 9, 2, observed, stream(1))
-        c = adversary_emit(strategy, 1, 9, 1, observed, stream(1))
-        assert not np.array_equal(a.estimate, b.estimate)
-        assert not np.array_equal(a.estimate, c.estimate)
+        a, _ = adversary_emit(strategy, 0, 9, 1, observed, stream(1))
+        b, _ = adversary_emit(strategy, 0, 9, 2, observed, stream(1))
+        c, _ = adversary_emit(strategy, 1, 9, 1, observed, stream(1))
+        assert not np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_stream_matches_fresh_generators(self):
         observed = make_observed([[0.25, -0.5]], [[0.0, 0.0]], 3.0, 4.0)
         strategy = AdversaryStrategy(kind="random_in_box")
-        msg = adversary_emit(strategy, 7, 6, 2, observed, stream(5))
+        estimate, grad = adversary_emit(strategy, 7, 6, 2, observed, stream(5))
         # the strategy draws its estimate, then its gradient, from the (7, 6, 2) substream
         fresh = substream(5, PURPOSE_ADVERSARY, 7, 6, 2)
-        assert np.array_equal(msg.estimate, fresh.uniform(-3.0, 3.0, size=2))
-        assert np.array_equal(msg.grad, fresh.uniform(-4.0, 4.0, size=2))
+        assert np.array_equal(estimate, fresh.uniform(-3.0, 3.0, size=2))
+        assert np.array_equal(grad, fresh.uniform(-4.0, 4.0, size=2))
 
     def test_collude_target_pulls_with_norm_zeta(self):
         observed = make_observed([[1.0, 0.0], [3.0, 0.0]], np.zeros((2, 2)), 5.0, 6.0)
         target = np.array([-2.0, 0.0])
         strategy = AdversaryStrategy(kind="collude_target", target=target)
-        msg = adversary_emit(strategy, 0, 9, 1, observed, stream(0))
-        assert np.array_equal(msg.estimate, target)
-        assert np.linalg.norm(msg.grad) == pytest.approx(6.0, abs=1e-12)
+        estimate, grad = adversary_emit(strategy, 0, 9, 1, observed, stream(0))
+        assert np.array_equal(estimate, target)
+        assert np.linalg.norm(grad) == pytest.approx(6.0, abs=1e-12)
         # pull points from the target toward the honest mean (2, 0)
-        assert msg.grad[0] > 0
+        assert grad[0] > 0
 
     def test_collude_target_zero_pull_degenerates(self):
         observed = make_observed([[1.0]], np.zeros((1, 1)), 5.0, 6.0)
         strategy = AdversaryStrategy(kind="collude_target", target=np.array([1.0]))
-        assert np.array_equal(adversary_emit(strategy, 0, 9, 0, observed, stream(0)).grad, [0.0])
+        assert np.array_equal(adversary_emit(strategy, 0, 9, 0, observed, stream(0))[1], [0.0])
 
     def test_collude_target_random_estimates_mode(self):
         observed = make_observed([[1.0], [2.0]], np.zeros((2, 1)), 5.0, 6.0)
         strategy = AdversaryStrategy(
             kind="collude_target", target=np.array([4.0]), estimates="random_in_box"
         )
-        a = adversary_emit(strategy, 0, 9, 1, observed, stream(3))
-        b = adversary_emit(strategy, 0, 9, 2, observed, stream(3))
-        assert not np.array_equal(a.estimate, b.estimate)  # per-receiver inconsistency
-        assert np.array_equal(a.grad, b.grad)  # the colluding pull stays agreed
-        assert abs(a.estimate[0]) <= 5.0
+        a_estimate, a_grad = adversary_emit(strategy, 0, 9, 1, observed, stream(3))
+        b_estimate, b_grad = adversary_emit(strategy, 0, 9, 2, observed, stream(3))
+        assert not np.array_equal(a_estimate, b_estimate)  # per-receiver inconsistency
+        assert np.array_equal(a_grad, b_grad)  # the colluding pull stays agreed
+        assert abs(a_estimate[0]) <= 5.0
 
     def test_strategy_validation(self):
         with pytest.raises(ValueError):

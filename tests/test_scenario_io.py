@@ -176,6 +176,10 @@ class TestTemplates:
         with pytest.raises(ValueError, match="unknown template"):
             build_template("nonsense")
 
+    def test_unknown_parameter_named(self):
+        with pytest.raises(ValueError, match="'violated_redundancy' takes no parameter eig_max, eig_min"):
+            build_template("violated_redundancy", eig_min=0.5, eig_max=2.0)
+
     def test_templates_are_deterministic(self):
         a = build_template("redundant_quadratic", seed=3)
         b = build_template("redundant_quadratic", seed=3)

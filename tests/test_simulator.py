@@ -6,7 +6,6 @@ from byzgrad import (
     AdversaryStrategy,
     CostEnsemble,
     QuadraticCost,
-    RoundMessage,
     Scenario,
     SimulationAbort,
     StepSchedule,
@@ -256,15 +255,15 @@ class TestAdmissionGate:
         run(redundant_scenario(horizon=10))
 
     def test_nan_estimate_aborts_naming_the_message(self, monkeypatch):
-        bad = RoundMessage(np.array([0.0, np.nan, 0.0]), np.zeros(3))
+        bad = (np.array([0.0, np.nan, 0.0]), np.zeros(3))
         with pytest.raises(SimulationAbort, match="round 3: estimate from agent 9 to 5 exceeds"):
             self.run_with_messages(monkeypatch, {(3, 9, 5): bad})
 
     @pytest.mark.parametrize(
         "bad",
         [
-            RoundMessage(np.zeros(4), np.zeros(3)),
-            RoundMessage(np.zeros(3), np.float64(0.5)),
+            (np.zeros(4), np.zeros(3)),
+            (np.zeros(3), np.float64(0.5)),
         ],
         ids=["estimate_of_d_plus_1", "scalar_gradient"],
     )
@@ -275,13 +274,13 @@ class TestAdmissionGate:
     def test_first_bad_message_in_sender_receiver_order_is_reported(self, monkeypatch):
         huge = np.full(3, 1e13)
         replacements = {
-            (2, 9, 0): RoundMessage(np.zeros(3), huge),
-            (2, 8, 6): RoundMessage(huge, huge),
-            (2, 8, 7): RoundMessage(np.zeros(2), np.zeros(3)),
+            (2, 9, 0): (np.zeros(3), huge),
+            (2, 8, 6): (huge, huge),
+            (2, 8, 7): (np.zeros(2), np.zeros(3)),
         }
         # 8->6 precedes 9->0 and the wrong-shape 8->7; its estimate precedes its gradient
         with pytest.raises(SimulationAbort, match="round 2: estimate from agent 8 to 6 exceeds"):
             self.run_with_messages(monkeypatch, replacements)
-        replacements[(2, 8, 6)] = RoundMessage(np.zeros(3), huge)
+        replacements[(2, 8, 6)] = (np.zeros(3), huge)
         with pytest.raises(SimulationAbort, match="round 2: gradient from agent 8 to 6 exceeds"):
             self.run_with_messages(monkeypatch, replacements)
