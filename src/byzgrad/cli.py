@@ -96,14 +96,18 @@ def write_summary(path: Path, summary: dict) -> None:
         handle.write("\n")
 
 
-def _seed_override() -> int | None:
+def _overrides(record_every: int | None = None) -> dict:
+    """The values put over the file: the seed from BYZGRAD_SEED and the stride from --record-every."""
+    overrides = {}
     raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{ENV_SEED} must be an integer, got {raw!r}")
+    if raw is not None:
+        try:
+            overrides["seed"] = int(raw)
+        except ValueError:
+            raise ConfigError(f"{ENV_SEED} must be an integer, got {raw!r}")
+    if record_every is not None:
+        overrides["record_every"] = record_every
+    return overrides
 
 
 def _run_one(loaded: LoadedScenario, out_dir: Path) -> dict:
@@ -117,9 +121,9 @@ def _run_one(loaded: LoadedScenario, out_dir: Path) -> dict:
 
 def _sweep_worker(args: tuple) -> dict:
     """Run one sweep point in a subprocess; never raises."""
-    text, out_dir, record_override, seed_override, label = args
+    text, out_dir, overrides, label = args
     try:
-        loaded = parse_scenario_text(text, seed_override=seed_override, record_override=record_override)
+        loaded = parse_scenario_text(text, overrides)
         summary = _run_one(loaded, Path(out_dir))
     except ConfigError as exc:
         return {"point": label, "status": "config_error", "error": str(exc)}
@@ -163,24 +167,11 @@ def _parse_sweep(spec: str) -> tuple[str, list]:
     return key, values
 
 
-def _apply_sweep_value(mapping: dict, dotted: str, value) -> dict:
-    out = dict(mapping)
-    cursor = out
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        nested = cursor.get(part)
-        nested = dict(nested) if isinstance(nested, dict) else {}
-        cursor[part] = nested
-        cursor = nested
-    cursor[parts[-1]] = value
-    return out
-
-
 def cmd_run(args) -> int:
     out_root = Path(args.out)
-    seed_override = _seed_override()
+    overrides = _overrides(args.record_every)
     if args.sweep is None:
-        loaded = load_scenario_file(args.scenario, seed_override=seed_override, record_override=args.record_every)
+        loaded = load_scenario_file(args.scenario, overrides)
         summary = _run_one(loaded, out_root)
         for warning in summary["warnings"]:
             print(f"warning: {warning}", file=sys.stderr)
@@ -188,12 +179,12 @@ def cmd_run(args) -> int:
         return 0
 
     key, values = _parse_sweep(args.sweep)
-    base, _ = read_scenario_mapping(read_scenario_file(args.scenario))
-    jobs = []
-    for value in values:
-        label = f"{key}={value}"
-        point_text = dump_scenario(_apply_sweep_value(base, key, value))
-        jobs.append((point_text, str(out_root / label), args.record_every, seed_override, label))
+    text = read_scenario_file(args.scenario)
+    read_scenario_mapping(text)  # a malformed file is one error, not one per point
+    # BYZGRAD_SEED and --record-every win over a swept value
+    jobs = [
+        (text, str(out_root / f"{key}={value}"), {key: value, **overrides}, f"{key}={value}") for value in values
+    ]
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -230,7 +221,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
-    loaded = load_scenario_file(args.scenario, seed_override=_seed_override())
+    loaded = load_scenario_file(args.scenario, _overrides())
     scenario = loaded.scenario
     # the same refusal as `run`, before the constants divide by zero curvature
     honest_minimizer(scenario.ensemble)

@@ -114,7 +114,7 @@ class TestDigest:
 
     def test_seed_override_changes_digest_but_keeps_costs(self):
         base = parse_scenario_text(MINIMAL)
-        overridden = parse_scenario_text(MINIMAL, seed_override=999)
+        overridden = parse_scenario_text(MINIMAL, overrides={"seed": 999})
         assert base.digest != overridden.digest
         assert overridden.scenario.seed == 999
         for ca, cb in zip(base.scenario.ensemble.costs, overridden.scenario.ensemble.costs):
@@ -126,7 +126,7 @@ class TestDigest:
 
     def test_record_override_lands_in_digest(self):
         assert (
-            parse_scenario_text(MINIMAL, record_override=3).digest
+            parse_scenario_text(MINIMAL, overrides={"record_every": 3}).digest
             != parse_scenario_text(MINIMAL).digest
         )
 
