@@ -7,7 +7,14 @@
 Exit codes: 0 on completion (verdicts live in summary.json, not the exit
 code), 2 on configuration errors, 3 on a mid-run numeric abort. The
 BYZGRAD_SEED environment variable overrides the file seed for ad-hoc
-replays.
+replays; it must lie in [0, 2^64 - 1] like a file seed.
+
+Every value put over the file (BYZGRAD_SEED, --record-every and each
+sweep point's key=value) is an override passed to parse_scenario_text,
+so it goes through the file's own validation. A sweep reads the file
+once; a point's config error cites the line of that file, and an error
+in the swept value itself carries no line. BYZGRAD_SEED and
+--record-every win over a swept value of the same key.
 """
 
 import argparse
@@ -288,11 +295,11 @@ def main(argv=None) -> int:
     handlers = {"run": cmd_run, "gen": cmd_gen, "check": cmd_check}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})" if str(exc) else "error: out of memory", file=sys.stderr)
         return 2
     except SimulationAbort as exc:
         print(f"aborted: {exc}", file=sys.stderr)

@@ -19,10 +19,14 @@ A scenario file is YAML describing one runtime Scenario:
       # or explicit costs: [{A: [[...], ...], b: [...], c: 0.0}, ...]
 
 Unknown keys anywhere are a hard error: a typo must never silently fall
-back to a default. The digest is a content hash of the *effective*
-configuration (defaults resolved, overrides applied), so two files
-that behave identically hash identically and an override is visible
-in the hash.
+back to a default. The root seed must lie in [0, 2^64 - 1], the range of
+the 64-bit Philox key. Overrides (dotted keys such as `seed` or
+`adversary.scale`) replace the file's values before validation, so they
+pass the same checks; an error in an overridden value carries no line,
+and every other error cites the line of the text. The digest is a
+content hash of the *effective* configuration (defaults resolved,
+overrides applied), so two files that behave identically hash
+identically and an override is visible in the hash.
 """
 
 import hashlib
@@ -37,7 +41,7 @@ from .costs import CostEnsemble, QuadraticCost, make_redundant_ensemble, spectra
 from .errors import ConfigError
 from .filters import Hypercube
 from .protocol import ADVERSARY_KINDS, AdversaryStrategy, StepSchedule
-from .seeds import PURPOSE_TEMPLATE, substream
+from .seeds import MAX_SEED, PURPOSE_TEMPLATE, substream
 from .simulator import Scenario
 
 SCHEMA_VERSION = 1
@@ -163,6 +167,8 @@ def parse_scenario_text(text: str, overrides: dict | None = None) -> LoadedScena
     if not (0.0 < xi < np.inf):
         check.fail(f"xi must be positive and finite, got {xi}", ("xi",))
     seed = check.integer(data["seed"], "seed", ("seed",))
+    if not 0 <= seed <= MAX_SEED:
+        check.fail(f"seed must lie in 0..2**64-1, got {seed}", ("seed",))
     horizon = check.integer(data["horizon"], "horizon", ("horizon",), minimum=1)
     record_every = None
     if "record_every" in data:

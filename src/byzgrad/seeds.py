@@ -16,6 +16,7 @@ PURPOSE_ADVERSARY = 2
 PURPOSE_TEMPLATE = 3
 
 _MASK64 = (1 << 64) - 1
+MAX_SEED = _MASK64  # the Philox key holds 64 bits; a root seed outside 0..MAX_SEED would alias one inside
 
 
 def _counter_words(counter: tuple[int, ...]) -> np.ndarray:

@@ -41,7 +41,7 @@ from .protocol import (
     eta,
     honest_round,
 )
-from .seeds import PURPOSE_ADVERSARY, PURPOSE_INIT, CounterStream, substream
+from .seeds import MAX_SEED, PURPOSE_ADVERSARY, PURPOSE_INIT, CounterStream, substream
 
 DEFAULT_TRACE_TARGET = 10000  # default stride keeps traces near this many rows
 
@@ -87,6 +87,10 @@ class Scenario:
             object.__setattr__(self, "init", pts)
         if self.record_every is not None and self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ValueError(f"seed must lie in 0..2**64-1, got {self.seed}")
+        if self.adversary.target is not None and np.shape(self.adversary.target) != (self.d,):
+            raise ValueError(f"adversary target must have shape ({self.d},), got {np.shape(self.adversary.target)}")
 
     @property
     def n(self) -> int:

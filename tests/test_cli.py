@@ -11,6 +11,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import byzgrad.scenario_io
 from byzgrad.cli import TRACE_HEADER, main
 from byzgrad.protocol import ADVERSARY_KINDS
 from byzgrad.scenario_io import ENV_SEED, TEMPLATES, build_template, dump_scenario
@@ -90,6 +91,16 @@ class TestGen:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         # the refusal names the parameter, not a Python internal
         assert re.search(rf"\b{flag[2:].replace('-', '_')}\b", captured.err), captured.err
+
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        def exhausted(d=1):
+            raise MemoryError()
+
+        monkeypatch.setitem(byzgrad.scenario_io._TEMPLATE_BUILDERS, "violated_redundancy", exhausted)
+        assert main(["gen", "violated_redundancy", "--d", "100000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
 
 
 class TestRun:
@@ -191,6 +202,16 @@ ensemble:
     def test_env_seed_must_be_integer(self, small_scenario, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(ENV_SEED, "not-a-number")
         assert main(["run", str(small_scenario), "-o", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("seed", ["-5", str(2**64)])
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_env_seed_outside_64_bits_exits_2(self, small_scenario, tmp_path, monkeypatch, capsys, command, seed):
+        monkeypatch.setenv(ENV_SEED, seed)
+        argv = [command, str(small_scenario)] + (["-o", str(tmp_path / "out")] if command == "run" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: seed must lie in 0..2**64-1, got {seed}\n"
 
 
 class TestCheck:
@@ -361,6 +382,32 @@ class TestSweep:
         index = json.loads((out / "index.json").read_text())
         statuses = {p["point"]: p["status"] for p in index["points"]}
         assert statuses == {"f=0": "config_error", "f=1": "ok", "f=2": "ok"}
+
+    def test_point_error_cites_the_users_file(self, tmp_path, capsys):
+        mapping = build_template("redundant_quadratic", n=5, f=1, d=1, seed=2, horizon=20)
+        path = tmp_path / "base.yaml"
+        path.write_text("# a header the\n# point's error\n# must count\n" + dump_scenario(mapping))
+        faulty_line = path.read_text().splitlines().index("faulty_ids: [4]") + 1
+        out = tmp_path / "sweep"
+        assert main(["run", str(path), "-o", str(out), "--sweep", "f=0..1"]) == 2
+        points = json.loads((out / "index.json").read_text())["points"]
+        assert [p["status"] for p in points] == ["config_error", "ok"]
+        assert points[0]["error"] == f"line {faulty_line}: 1 faulty ids exceed the declared bound f=0"
+
+    def test_swept_seed_outside_64_bits_recorded(self, sweep_base, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["run", str(sweep_base), "-o", str(out), "--sweep", f"seed=-1,{2**64},1"]) == 2
+        points = json.loads((out / "index.json").read_text())["points"]
+        assert [p["status"] for p in points] == ["config_error", "config_error", "ok"]
+        assert points[0]["error"] == "seed must lie in 0..2**64-1, got -1"
+
+    def test_env_seed_wins_over_swept_seed(self, sweep_base, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(ENV_SEED, "5")
+        out = tmp_path / "sweep"
+        assert main(["run", str(sweep_base), "-o", str(out), "--sweep", "seed=1..2"]) == 0
+        points = json.loads((out / "index.json").read_text())["points"]
+        assert points[0]["digest"] == points[1]["digest"]
+        assert read_summary(out / "seed=1")["seed"] == 5
 
     def test_bad_sweep_spec(self, sweep_base, tmp_path, capsys):
         assert main(["run", str(sweep_base), "-o", str(tmp_path / "x"), "--sweep", "nonsense"]) == 2

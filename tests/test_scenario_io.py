@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import yaml
 
 from byzgrad import ConfigError, check_redundancy_sufficient, run, spectral_constants
 from byzgrad.scenario_io import (
@@ -106,6 +109,66 @@ ensemble:
         # the outer seed remains; only the generator seed was removed
         with pytest.raises(ConfigError, match="generator spec needs 'seed'"):
             parse_scenario_text(bad)
+
+
+def same(a, b) -> bool:
+    """Field-by-field equality for the dataclasses, arrays and tuples a Scenario holds."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same, a, b))
+    return a == b
+
+
+OVERRIDES = [("seed", 12), ("f", 2), ("record_every", 3), ("schedule.eta0", 0.5), ("adversary.scale", 2.0)]
+
+
+class TestOverrides:
+    @pytest.mark.parametrize("dotted, value", OVERRIDES, ids=[key for key, _ in OVERRIDES])
+    def test_same_as_editing_the_file(self, dotted, value):
+        mapping = yaml.safe_load(MINIMAL)
+        *parents, last = dotted.split(".")
+        cursor = mapping
+        for part in parents:
+            cursor = cursor[part]
+        cursor[last] = value
+        edited = parse_scenario_text(dump_scenario(mapping))
+        overridden = parse_scenario_text(MINIMAL, {dotted: value})
+        assert overridden.digest == edited.digest
+        assert same(overridden.scenario, edited.scenario)
+
+    @pytest.mark.parametrize(
+        "dotted, value, message",
+        [("horizon", 0, "horizon must be >= 1"), ("record_every", 0, "record_every must be >= 1"), ("seed", -1, "seed must lie")],
+    )
+    def test_error_in_an_override_cites_no_line(self, dotted, value, message):
+        with pytest.raises(ConfigError, match=message) as info:
+            parse_scenario_text(MINIMAL, {dotted: value})
+        assert info.value.line is None
+
+    def test_parents_keep_their_lines(self):
+        # adversary.kind loses its line; the adversary mapping on line 10 keeps its own
+        with pytest.raises(ConfigError, match="norm_inflate needs a finite scale") as info:
+            parse_scenario_text(MINIMAL, {"adversary.kind": "norm_inflate"})
+        assert info.value.line == 10
+
+    def test_missing_parent_becomes_a_mapping(self):
+        loaded = parse_scenario_text(MINIMAL.replace("schedule: {kind: harmonic, eta0: 1.0}\n", ""), {"schedule.eta0": 0.5})
+        assert loaded.effective["schedule"] == {"kind": "harmonic", "eta0": 0.5, "p": 1.0}
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_file_seed_outside_64_bits_refused(self, seed):
+        with pytest.raises(ConfigError, match=r"seed must lie in 0\.\.2\*\*64-1") as info:
+            parse_scenario_text(MINIMAL.replace("\nseed: 11\n", f"\nseed: {seed}\n"))
+        assert info.value.line == 6
+
+    def test_largest_seed_accepted(self):
+        loaded = parse_scenario_text(MINIMAL.replace("\nseed: 11\n", f"\nseed: {2**64 - 1}\n"))
+        assert loaded.scenario.seed == 2**64 - 1
 
 
 class TestDigest:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,17 @@ class TestScenarioValidation:
         init[2, 0] = 3.0
         with pytest.raises(ValueError, match="outside"):
             redundant_scenario(n=5, f=0, d=1, xi=1.0, x_star=[0.0], init=init)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_refused(self, seed):
+        scenario = redundant_scenario()  # its seed also draws the costs, so replace only the run seed
+        with pytest.raises(ValueError, match="seed must lie"):
+            dataclasses.replace(scenario, seed=seed)
+
+    def test_adversary_target_must_match_d(self):
+        adversary = AdversaryStrategy(kind="collude_target", target=np.full(4, 10.0))
+        with pytest.raises(ValueError, match=r"adversary target must have shape \(3,\)"):
+            redundant_scenario(d=3, adversary=adversary)
 
     def test_default_stride_bounds_trace_size(self):
         scenario = redundant_scenario(horizon=50000)
