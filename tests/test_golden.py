@@ -26,6 +26,10 @@ CASES = {
         "redundant_quadratic", dict(n=10, f=2, d=3, horizon=1000), {"kind": "collude_target", "target": TARGET},
     ),
     "collude_target_random_estimates": ("redundant_quadratic", dict(n=10, f=2, d=3, horizon=1500), None),
+    # d = 12 puts 4096 vertices per honest cost into zeta, which the colluders' pull carries into every message
+    "collude_target_d12": (
+        "redundant_quadratic", dict(n=10, f=2, d=12, horizon=200, eig_min=0.5, eig_max=2.0), None,
+    ),
     "n40_d1": ("redundant_quadratic", dict(n=40, f=7, d=1, horizon=300), None),
     "fault_free": ("redundant_quadratic", dict(n=10, f=0, d=3, horizon=500), None),
     "n100": ("redundant_quadratic", dict(n=100, f=19, d=3, horizon=40), None),
@@ -35,6 +39,7 @@ CASES = {
 
 DIGESTS = {
     "collude_target": "65639e56485be332da794dea6b2c203c7527f56560812a222fab5202955d300c",
+    "collude_target_d12": "06e40cb53fa8c4dfcc4ad7f1e1a615703832c2a9afd40589f4b2dd75d8bbff55",
     "collude_target_random_estimates": "7cf810e0bc755cab74ce4db689fcc2200aefc9c659541c31c450d423c53e7790",
     "coord_extreme": "6d2cc8bdb97cd9d03b4ad11787e939ce9a8dba7dd184564f67f9546ccd0dc509",
     "fault_free": "78b4b27c8734cf2ffb385e0470766a31fac7f711b59f099c97c886dcd11e714d",
@@ -50,6 +55,7 @@ DIGESTS = {
 
 SUMMARY_DIGESTS = {
     "collude_target": "f7451d59881b0cb14cb9dc103ee06e36ed1d61fcdcd5f1b9d4bf9b5a448cfdc5",
+    "collude_target_d12": "d85ef5e2424551a1976a48b152e7cc41968c1713e055b57e8e7f8046aa59dddb",
     "collude_target_random_estimates": "ca8553c0e18e917597d6e233039567690d33ef8bed53f85bf5e950bebc8a9ab2",
     "coord_extreme": "2bd037dffb4dd890e71013469d2bbeaa212aae46291bddc5cf3cb470672266b5",
     "fault_free": "d8e04b8026eb54ab1af0c0a15b91fda1d23974d620b733b92c804786892b8848",
