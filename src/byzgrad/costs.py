@@ -14,10 +14,19 @@ Constants derived from an ensemble of honest costs over a box X:
     alpha = lam / (lam + 2 sqrt(d) mu) - f / n           (fault-tolerance margin)
 
 For a quadratic, ||Ax - b|| is convex, so its maximum over the box is
-attained at a vertex; zeta is exact by vertex enumeration up to
-ZETA_VERTEX_DIM_LIMIT dimensions and an analytic upper bound above that.
+attained at a vertex. Up to ZETA_VERTEX_DIM_LIMIT dimensions zeta is
+exact: one sweep shared by all honest costs takes the vertices in blocks
+of 2^10, visits (cost, block) pairs in descending order of an upper bound
+on their squared gradient norms, and stops once every remaining bound
+lies below the largest norm found (by a margin that covers rounding). A
+block it evaluates is computed with the same gemm rows as a full 2^d
+enumeration, and the square root is taken once, on the maximum, so zeta
+has the bits of full enumeration; typical ensembles need a few blocks,
+while one whose vertices all tie still needs every vertex. Above the
+limit zeta is an analytic upper bound.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +39,8 @@ PSD_SLACK = 1e-9           # eigenvalues may undershoot zero by this much
 STATIONARITY_TOL = 1e-8    # gradient norm that counts as "vanishes"
 SINGULARITY_TOL = 1e-12    # smallest eigenvalue that counts as "invertible"
 ZETA_VERTEX_DIM_LIMIT = 20  # above this, 2^d vertex sweeps are off the table
+_BLOCK_DIM = 10             # the zeta sweep takes vertices in blocks of 2^10 sharing high coordinates
+_PRUNE_MARGIN = 1e-6        # relative slack before a block's norm bound may skip it
 
 
 @dataclass(frozen=True)
@@ -202,27 +213,79 @@ def check_redundancy_sufficient(ensemble: CostEnsemble, f: int) -> bool:
     )
 
 
-def _max_gradient_norm_on_box(cost: QuadraticCost, xi: float, chunk: int = 1 << 16) -> float:
-    """Exact max of ||Ax - b|| over the box, swept vertex by vertex."""
-    d = cost.dim
-    total = 1 << d
-    shifts = np.arange(d, dtype=np.uint64)
+def _box_vertices(d: int, xi: float) -> np.ndarray:
+    """All 2^d vertices of [-xi, xi]^d; row r has +xi in coordinate k iff bit k of r is set."""
+    idx = np.arange(1 << d, dtype=np.uint64)[:, None]
+    signs = ((idx >> np.arange(d, dtype=np.uint64)) & np.uint64(1)).astype(np.float64)
+    return xi * (2.0 * signs - 1.0)
+
+
+def _max_gradient_norm_on_box(costs: list[QuadraticCost], xi: float) -> float:
+    """Exact max of ||Ax - b|| over the box's vertices and all given costs.
+
+    The vertices are swept in blocks of 2^L that share their d - L high
+    coordinates (L = min(d, _BLOCK_DIM)); one block matrix is built and only
+    its high columns change. With the high part fixed, g = A_L v_L + c where
+    c = A_H v_H - b, and over the low signs v_L in {-xi, xi}^L
+
+        ||g||^2 = ||c||^2 + 2 c'A_L v_L + ||A_L v_L||^2
+               <= ||c||^2 + 2 xi ||A_L'c||_1 + xi^2 L sigma_max(A_L)^2.
+
+    (cost, block) pairs are visited in descending order of this bound, and
+    the sweep stops at the first pair whose bound, times 1 + _PRUNE_MARGIN,
+    lies below the largest squared norm computed so far; every later pair's
+    bound is lower still. A block that is not skipped is evaluated exactly
+    as a full enumeration does (`V @ A.T - b`, then the row sums of g * g),
+    so each of its squared norms has the same bits, and the square root is
+    taken once, on the maximum: sqrt is monotone and correctly rounded, so
+    that equals the maximum of the roots.
+
+    Why rounding cannot make a skip drop the maximum. Let T be the exact
+    largest squared norm. Averaging over all vertices gives
+    T >= ||b||^2 + xi^2 ||A||_F^2, which bounds every term either side
+    computes by a small multiple of d T; so each computed squared norm and
+    each computed bound lies within eta T of its exact value, with eta of
+    order d^2 ulps (below 1e-11 for d <= 20), far under _PRUNE_MARGIN. The
+    block holding T has a bound of at least T (1 - eta), which times the
+    margin exceeds every computed norm, so it is never skipped, and no pair
+    ahead of it in the order is either. Any pair skipped after it is
+    compared with an incumbent of at least T (1 - eta), whose margin share
+    covers the 2 eta T by which a computed norm in the pair may exceed the
+    computed bound. So a skipped vertex's computed squared norm never
+    exceeds the maximum the sweep returns.
+    """
+    d = costs[0].dim
+    low = min(d, _BLOCK_DIM)
+    block = np.zeros((1 << low, d))
+    block[:, :low] = _box_vertices(low, xi)
+    high = np.zeros((1 << (d - low), d))
+    high[:, low:] = _box_vertices(d - low, xi)
+    A = np.stack([cost.A for cost in costs])
+    a_low = A[:, :, :low]
+    c = high @ A.transpose(0, 2, 1) - np.stack([cost.b for cost in costs])[:, None, :]
+    sigma_sq = np.linalg.eigvalsh(a_low.transpose(0, 2, 1) @ a_low)[:, -1:]  # sigma_max(A_L)^2
+    bound = (c * c).sum(axis=2) + 2.0 * xi * np.abs(c @ a_low).sum(axis=2) + (xi * xi * low) * sigma_sq
+    blocks = high.shape[0]
     best = 0.0
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)[:, None]
-        signs = ((idx >> shifts) & np.uint64(1)).astype(np.float64)
-        vertices = xi * (2.0 * signs - 1.0)
-        grads = vertices @ cost.A.T - cost.b
-        best = max(best, float(np.sqrt((grads * grads).sum(axis=1)).max()))
-    return best
+    for pair in np.argsort(-bound, axis=None, kind="stable"):
+        k, j = divmod(int(pair), blocks)
+        if bound[k, j] * (1.0 + _PRUNE_MARGIN) < best:
+            break
+        block[:, low:] = high[j, low:]
+        g = block @ costs[k].A.T - costs[k].b
+        best = max(best, float((g * g).sum(axis=1).max()))
+    return math.sqrt(best)
 
 
 def spectral_constants(ensemble: CostEnsemble, f: int, box: Hypercube) -> SpectralConstants:
     """Compute (mu, lam, zeta, alpha) for an ensemble over a box.
 
-    zeta is exact (vertex enumeration) for d <= ZETA_VERTEX_DIM_LIMIT and
-    falls back to (n-f) * max_i (lambda_max(A_i) sqrt(d) xi + ||b_i||)
-    above that, flagged via `zeta_exact = False`.
+    zeta is exact for d <= ZETA_VERTEX_DIM_LIMIT: a blocked vertex sweep
+    over all honest costs that skips blocks whose norm bound falls below
+    the maximum found, with the bits of evaluating every vertex (see
+    `_max_gradient_norm_on_box`). Above that it falls back to
+    (n-f) * max_i (lambda_max(A_i) sqrt(d) xi + ||b_i||), flagged via
+    `zeta_exact = False`.
     """
     if box.d != ensemble.d:
         raise ValueError(f"box dimension {box.d} does not match ensemble dimension {ensemble.d}")
@@ -236,7 +299,7 @@ def spectral_constants(ensemble: CostEnsemble, f: int, box: Hypercube) -> Spectr
     lam = float(np.linalg.eigvalsh(mean_hessian).min())
     d = ensemble.d
     if d <= ZETA_VERTEX_DIM_LIMIT:
-        zeta = (n - f) * max(_max_gradient_norm_on_box(c, box.xi) for c in honest)
+        zeta = (n - f) * _max_gradient_norm_on_box(honest, box.xi)
         zeta_exact = True
     else:
         zeta = (n - f) * max(

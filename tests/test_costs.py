@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import byzgrad.costs as costs_module
 from byzgrad import (
     CostEnsemble,
     Hypercube,
@@ -35,6 +38,23 @@ def random_psd_ensemble(rng, n, d, honest=None):
         costs.append(QuadraticCost(A=A, b=rng.normal(size=d), c=float(rng.normal())))
     ids = frozenset(range(n)) if honest is None else frozenset(honest)
     return CostEnsemble(costs=tuple(costs), honest_set=ids)
+
+
+# The full 2^d enumeration that spectral_constants ran before the blocked,
+# bound-pruned sweep, kept verbatim as the oracle for zeta's exact bits.
+def _max_gradient_norm_on_box(cost: QuadraticCost, xi: float, chunk: int = 1 << 16) -> float:
+    """Exact max of ||Ax - b|| over the box, swept vertex by vertex."""
+    d = cost.dim
+    total = 1 << d
+    shifts = np.arange(d, dtype=np.uint64)
+    best = 0.0
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)[:, None]
+        signs = ((idx >> shifts) & np.uint64(1)).astype(np.float64)
+        vertices = xi * (2.0 * signs - 1.0)
+        grads = vertices @ cost.A.T - cost.b
+        best = max(best, float(np.sqrt((grads * grads).sum(axis=1)).max()))
+    return best
 
 
 class TestQuadraticCost:
@@ -216,6 +236,60 @@ class TestSpectralConstants:
                     best = max(best, np.linalg.norm(cost.gradient(np.array([x0, x1]))))
         assert consts.zeta >= 3 * best - 1e-9
         assert consts.zeta == pytest.approx(3 * best, rel=1e-9)  # max sits at a grid corner
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        d=st.integers(1, 13),
+        h=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        log_xi=st.floats(-3.0, 3.0),
+        b_at_minimizer=st.booleans(),
+    )
+    def test_zeta_equals_full_enumeration_bit_for_bit(self, d, h, seed, log_xi, b_at_minimizer):
+        rng = np.random.default_rng(seed)
+        costs = []
+        for _ in range(h):
+            m = rng.normal(size=(d, int(rng.integers(0, d + 1)))) * 10.0 ** rng.uniform(-2.0, 2.0)
+            A = m @ m.T  # rank 0 to d
+            b = A @ rng.normal(size=d) if b_at_minimizer else rng.normal(size=d) * 10.0 ** rng.uniform(-3.0, 3.0)
+            costs.append(QuadraticCost(A=0.5 * (A + A.T), b=b))
+        xi = 10.0**log_xi
+        expected = max(_max_gradient_norm_on_box(c, xi) for c in costs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(costs_module, "_BLOCK_DIM", 2)  # many blocks, so pruning is exercised at small d
+            assert costs_module._max_gradient_norm_on_box(costs, xi) == expected
+        assert costs_module._max_gradient_norm_on_box(costs, xi) == expected
+
+    @pytest.mark.parametrize("d", [1, 3, 7, 13])
+    def test_zeta_with_every_vertex_tied(self, d, monkeypatch):
+        # A = 1.5 I, b = 0: every vertex has norm 1.5 xi sqrt(d), so no bound can skip a block
+        monkeypatch.setattr(costs_module, "_BLOCK_DIM", 2)
+        costs = tuple(QuadraticCost(A=1.5 * np.eye(d), b=np.zeros(d)) for _ in range(3))
+        ensemble = CostEnsemble(costs=costs, honest_set=frozenset(range(3)))
+        box = Hypercube(0.7, d)
+        zeta = spectral_constants(ensemble, 1, box).zeta
+        assert zeta == 2 * _max_gradient_norm_on_box(costs[0], box.xi)
+        assert zeta == pytest.approx(2 * 1.5 * 0.7 * np.sqrt(d), rel=1e-14)
+
+    def test_bounds_skip_blocks_that_cannot_hold_the_maximum(self, monkeypatch):
+        # one stiff coordinate among many soft ones: most blocks' bounds fall
+        # below the first block's maximum, so few of the 2^(d-2) blocks are evaluated
+        monkeypatch.setattr(costs_module, "_BLOCK_DIM", 2)
+        d = 10
+        cost = QuadraticCost(A=np.diag([1.0] * (d - 1) + [50.0]), b=np.full(d, 0.25))
+        evaluated = []
+
+        class Counted:  # the sweep reads .A once per evaluated block, after stacking it once
+            dim, b = cost.dim, cost.b
+
+            @property
+            def A(self):
+                evaluated.append(1)
+                return cost.A
+
+        got = costs_module._max_gradient_norm_on_box([Counted()], 1.0)
+        assert got == _max_gradient_norm_on_box(cost, 1.0)
+        assert 1 <= len(evaluated) - 1 < 2 ** (d - 2) // 4
 
     def test_high_dim_falls_back_to_bound(self):
         d = 21
