@@ -13,8 +13,9 @@ Every value put over the file (BYZGRAD_SEED, --record-every and each
 sweep point's key=value) is an override passed to parse_scenario_text,
 so it goes through the file's own validation. A sweep reads the file
 once; a point's config error cites the line of that file, and an error
-in the swept value itself carries no line. BYZGRAD_SEED and
---record-every win over a swept value of the same key.
+in the swept value itself carries no line. A sweep over a key that
+BYZGRAD_SEED or --record-every also sets is refused before any point
+runs: the override would make every point the same scenario.
 """
 
 import argparse
@@ -103,6 +104,9 @@ def write_summary(path: Path, summary: dict) -> None:
         handle.write("\n")
 
 
+_OVERRIDE_SOURCES = {"seed": ENV_SEED, "record_every": "--record-every"}
+
+
 def _overrides(record_every: int | None = None) -> dict:
     """The values put over the file: the seed from BYZGRAD_SEED and the stride from --record-every."""
     overrides = {}
@@ -186,9 +190,12 @@ def cmd_run(args) -> int:
         return 0
 
     key, values = _parse_sweep(args.sweep)
+    if key in overrides:
+        raise ConfigError(
+            f"--sweep {key}=... and {_OVERRIDE_SOURCES[key]} both set {key}; every point would run the same scenario"
+        )
     text = read_scenario_file(args.scenario)
     read_scenario_mapping(text)  # a malformed file is one error, not one per point
-    # BYZGRAD_SEED and --record-every win over a swept value
     jobs = [
         (text, str(out_root / f"{key}={value}"), {key: value, **overrides}, f"{key}={value}") for value in values
     ]

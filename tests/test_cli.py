@@ -401,13 +401,20 @@ class TestSweep:
         assert [p["status"] for p in points] == ["config_error", "config_error", "ok"]
         assert points[0]["error"] == "seed must lie in 0..2**64-1, got -1"
 
-    def test_env_seed_wins_over_swept_seed(self, sweep_base, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv(ENV_SEED, "5")
+    @pytest.mark.parametrize(
+        "key, env, flags",
+        [("seed", {ENV_SEED: "5"}, []), ("record_every", {}, ["--record-every", "3"])],
+        ids=["seed", "record_every"],
+    )
+    def test_override_of_swept_key_refused(self, sweep_base, tmp_path, monkeypatch, capsys, key, env, flags):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
         out = tmp_path / "sweep"
-        assert main(["run", str(sweep_base), "-o", str(out), "--sweep", "seed=1..2"]) == 0
-        points = json.loads((out / "index.json").read_text())["points"]
-        assert points[0]["digest"] == points[1]["digest"]
-        assert read_summary(out / "seed=1")["seed"] == 5
+        assert main(["run", str(sweep_base), "-o", str(out), "--sweep", f"{key}=1..2", *flags]) == 2
+        err = capsys.readouterr().err
+        source = ENV_SEED if env else "--record-every"
+        assert err.startswith(f"error: --sweep {key}=") and source in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_bad_sweep_spec(self, sweep_base, tmp_path, capsys):
         assert main(["run", str(sweep_base), "-o", str(tmp_path / "x"), "--sweep", "nonsense"]) == 2
