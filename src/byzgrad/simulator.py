@@ -6,12 +6,12 @@ everyone; faulty agents emit a possibly different pair per receiver), then
 every honest agent applies its update. The honest state is four (honest,
 d) arrays ordered by agent id: the estimates entering the round, their
 gradients, the next estimates and the filtered gradients; the two estimate
-arrays swap at the end of each round. Messages live in preallocated
-arrays: id-indexed (n, d) inbox buffers, filled once per round with the
-honest rows, and (faulty, honest, d) blocks of faulty messages, whose
-column for one receiver is copied into the faulty rows of the inbox
-buffers just before that receiver updates. Faulty messages are admitted
-by one vectorised check per round.
+arrays swap at the end of each round. Messages live in one preallocated
+(honest, n, d) inbox per quantity: row b is the complete inbox of the
+b-th honest receiver, indexed by sender id. Each round writes the honest
+rows once for every receiver and each faulty message once, at (receiver,
+sender), where its receiver reads it; the inbox costs O(honest * n * d)
+memory. Faulty messages are admitted by one vectorised check per round.
 
 Nothing about the schedule, the metrics stride, or the adversary's
 strategy can leak randomness across consumers: all draws come from
@@ -145,14 +145,16 @@ def _admit(
 ) -> None:
     """Abort on the first faulty message with a coordinate beyond the admission bound.
 
-    `estimates` and `gradients` are (faulty, honest, d) blocks; messages are
-    taken in (sender, receiver) order, the estimate before the gradient,
-    and only the first `count` are checked when it is given.
+    `estimates` and `gradients` are the (honest, n, d) inboxes, row b the
+    inbox of receiver `honest_ids[b]` indexed by sender id; only their
+    faulty columns are read. Messages are taken in (sender, receiver)
+    order, the estimate before the gradient, and only the first `count`
+    are checked when it is given.
     """
-    d = estimates.shape[-1]
     # NaN fails the <= comparison, so one test covers both conditions
     est_ok, grad_ok = (
-        (np.abs(block.reshape(-1, d)[:count]) <= MESSAGE_COORD_LIMIT).all(axis=1) for block in (estimates, gradients)
+        (np.abs(inbox[:, faulty_ids]) <= MESSAGE_COORD_LIMIT).all(axis=2).T.ravel()[:count]
+        for inbox in (estimates, gradients)
     )
     bad = ~(est_ok & grad_ok)
     if bad.any():
@@ -203,7 +205,6 @@ def run(scenario: Scenario) -> RunResult:
     adversary_stream = CounterStream(scenario.seed, PURPOSE_ADVERSARY)
     d = scenario.d
     honest_rows = np.array(honest_ids, dtype=np.intp)
-    faulty_rows = np.array(faulty_ids, dtype=np.intp)
     if isinstance(scenario.init, np.ndarray):
         estimates = scenario.init[honest_rows]
     else:
@@ -214,10 +215,8 @@ def run(scenario: Scenario) -> RunResult:
     gradients = np.empty_like(estimates)
     next_estimates = np.empty_like(estimates)
     filtered = np.empty_like(estimates)
-    inbox_est = np.empty((scenario.n, d))
-    inbox_grad = np.empty((scenario.n, d))
-    faulty_est = np.empty((len(faulty_ids), len(honest_ids), d))
-    faulty_grad = np.empty_like(faulty_est)
+    inbox_est = np.empty((len(honest_ids), scenario.n, d))
+    inbox_grad = np.empty_like(inbox_est)
 
     for t in range(horizon + 1):
         eta_t = eta(scenario.schedule, t)
@@ -225,8 +224,8 @@ def run(scenario: Scenario) -> RunResult:
             gradients[b] = cost.gradient(estimates[b])
         if not np.isfinite(gradients).all():
             raise SimulationAbort(t, "an honest gradient overflowed")
-        inbox_est[honest_rows] = estimates
-        inbox_grad[honest_rows] = gradients
+        inbox_est[:, honest_rows] = estimates
+        inbox_grad[:, honest_rows] = gradients
 
         # phase 1: materialize every faulty message of round t
         observed = ObservedRound(estimates, gradients, box, constants.zeta)
@@ -236,19 +235,16 @@ def run(scenario: Scenario) -> RunResult:
                 # a wrong-shape message must not broadcast into its slot;
                 # earlier messages are judged first, keeping the report in order
                 if np.shape(est) != (d,) or np.shape(grad) != (d,):
-                    _admit(t, faulty_est, faulty_grad, faulty_ids, honest_ids, count=a * len(honest_ids) + b)
+                    _admit(t, inbox_est, inbox_grad, faulty_ids, honest_ids, count=a * len(honest_ids) + b)
                     raise SimulationAbort(t, f"message {s}->{r} has wrong dimension")
-                faulty_est[a, b] = est
-                faulty_grad[a, b] = grad
-        _admit(t, faulty_est, faulty_grad, faulty_ids, honest_ids)
+                inbox_est[b, s] = est
+                inbox_grad[b, s] = grad
+        _admit(t, inbox_est, inbox_grad, faulty_ids, honest_ids)
 
-        # phase 2: every honest agent updates on its complete inbox; only
-        # the faulty rows differ between receivers
+        # phase 2: every honest agent updates on its complete inbox
         for b, i in enumerate(honest_ids):
-            inbox_est[faulty_rows] = faulty_est[:, b]
-            inbox_grad[faulty_rows] = faulty_grad[:, b]
             try:
-                next_estimates[b], filtered[b] = honest_round(i, inbox_est, inbox_grad, eta_t, scenario.f, box)
+                next_estimates[b], filtered[b] = honest_round(i, inbox_est[b], inbox_grad[b], eta_t, scenario.f, box)
             except ValueError as exc:
                 raise SimulationAbort(t, str(exc)) from exc
 

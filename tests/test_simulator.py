@@ -208,6 +208,55 @@ class TestConservation:
         assert all(est_rows == grad_rows == scenario.n for _, est_rows, grad_rows in calls)
 
 
+class TestInboxRouting:
+    def test_each_receiver_reads_its_own_messages_at_sender_ids(self, monkeypatch):
+        # faulty senders interleaved with honest ones, so a row written by
+        # position instead of by sender id lands in the wrong place
+        faulty = (2, 5)
+        horizon = 6
+        init = np.linspace(-4.0, 4.0, 21).reshape(7, 3)
+        scenario = redundant_scenario(n=7, f=2, faulty=faulty, horizon=horizon, init=init)
+        honest_ids = scenario.ensemble.honest_ids()
+        costs = dict(zip(honest_ids, scenario.ensemble.honest_costs()))
+
+        def message(t, sender, receiver):
+            # every coordinate names the message; honest values never take these
+            site = np.array([t, sender, receiver], dtype=np.float64)
+            return site + 0.25, -site - 0.5
+
+        def emit(strategy, t, sender, receiver, observed, stream):
+            return message(t, sender, receiver)
+
+        calls = []
+        real = byzgrad.simulator.honest_round
+
+        def recording(me, estimates, gradients, eta_t, f, box):
+            outcome = real(me, estimates, gradients, eta_t, f, box)
+            calls.append((me, np.array(estimates), np.array(gradients), outcome.estimate.copy()))
+            return outcome
+
+        monkeypatch.setattr(byzgrad.simulator, "adversary_emit", emit)
+        monkeypatch.setattr(byzgrad.simulator, "honest_round", recording)
+        run(scenario)
+
+        assert len(calls) == len(honest_ids) * (horizon + 1)
+        state = {i: init[i] for i in honest_ids}  # the honest estimates entering round t
+        for t in range(horizon + 1):
+            updates = calls[t * len(honest_ids) : (t + 1) * len(honest_ids)]
+            assert [me for me, *_ in updates] == honest_ids
+            for me, estimates, gradients, _ in updates:
+                assert estimates.shape == gradients.shape == (scenario.n, scenario.d)
+                for s in faulty:
+                    est, grad = message(t, s, me)
+                    assert np.array_equal(estimates[s], est) and np.array_equal(gradients[s], grad)
+                for j in honest_ids:
+                    assert np.array_equal(estimates[j], state[j])
+                    assert np.array_equal(gradients[j], costs[j].gradient(state[j]))
+                assert np.array_equal(estimates[me], state[me])
+                assert np.array_equal(gradients[me], costs[me].gradient(state[me]))
+            state = {me: next_estimate for me, _, _, next_estimate in updates}
+
+
 class TestAdversaryMatrix:
     @pytest.mark.parametrize(
         "adversary",
