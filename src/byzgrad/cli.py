@@ -239,7 +239,10 @@ def cmd_check(args) -> int:
     scenario = loaded.scenario
     # the same refusal as `run`, before the constants divide by zero curvature
     honest_minimizer(scenario.ensemble)
-    constants = spectral_constants(scenario.ensemble, scenario.f, scenario.box)
+    try:
+        constants = spectral_constants(scenario.ensemble, scenario.f, scenario.box)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     try:
         redundant = check_redundancy_sufficient(scenario.ensemble, scenario.f)
     except ValueError as exc:

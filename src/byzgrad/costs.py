@@ -135,20 +135,24 @@ class SpectralConstants:
     zeta_exact: bool  # False when zeta is the analytic bound, not the vertex max
 
 
+@np.errstate(all="ignore")  # an overflowing sum is refused, not warned about
 def aggregate_minimizer(ensemble: CostEnsemble) -> Point:
     """Solve for the unique minimizer of the honest agents' summed cost.
 
-    Requires the summed honest Hessian to be positive definite. The result
-    satisfies || sum of honest gradients at x* || <= STATIONARITY_TOL.
+    Requires both honest sums to be finite and the summed Hessian to be
+    positive definite. The result satisfies
+    || sum of honest gradients at x* || <= STATIONARITY_TOL.
     """
     honest = ensemble.honest_costs()
     a_sum = sum(c.A for c in honest)
     b_sum = sum(c.b for c in honest)
+    if not (np.isfinite(a_sum).all() and np.isfinite(b_sum).all()):
+        raise ValueError("summed honest costs overflow float64")
     if np.linalg.eigvalsh(a_sum).min() <= SINGULARITY_TOL:
         raise ValueError("aggregate not strongly convex")
     x_star = np.linalg.solve(a_sum, b_sum)
     residual = float(np.linalg.norm(a_sum @ x_star - b_sum))
-    if residual > STATIONARITY_TOL:
+    if not residual <= STATIONARITY_TOL:  # NaN fails <=, so a non-finite solve is refused too
         raise ValueError(f"minimizer solve left gradient norm {residual:.3e}")
     return x_star
 
@@ -265,6 +269,7 @@ def _max_gradient_norm_on_box(costs: list[QuadraticCost], xi: float) -> float:
     c = high @ A.transpose(0, 2, 1) - np.stack([cost.b for cost in costs])[:, None, :]
     sigma_sq = np.linalg.eigvalsh(a_low.transpose(0, 2, 1) @ a_low)[:, -1:]  # sigma_max(A_L)^2
     bound = (c * c).sum(axis=2) + 2.0 * xi * np.abs(c @ a_low).sum(axis=2) + (xi * xi * low) * sigma_sq
+    bound[np.isnan(bound)] = np.inf  # a bound lost to overflow must not let its block be skipped
     blocks = high.shape[0]
     best = 0.0
     for pair in np.argsort(-bound, axis=None, kind="stable"):
@@ -277,6 +282,7 @@ def _max_gradient_norm_on_box(costs: list[QuadraticCost], xi: float) -> float:
     return math.sqrt(best)
 
 
+@np.errstate(all="ignore")  # a non-finite constant is refused, not warned about
 def spectral_constants(ensemble: CostEnsemble, f: int, box: Hypercube) -> SpectralConstants:
     """Compute (mu, lam, zeta, alpha) for an ensemble over a box.
 
@@ -286,6 +292,10 @@ def spectral_constants(ensemble: CostEnsemble, f: int, box: Hypercube) -> Spectr
     `_max_gradient_norm_on_box`). Above that it falls back to
     (n-f) * max_i (lambda_max(A_i) sqrt(d) xi + ||b_i||), flagged via
     `zeta_exact = False`.
+
+    Raises ValueError when a constant is not finite: costs whose
+    arithmetic overflows float64 on the box, or an honest set whose
+    Hessians are all zero (alpha is then 0/0).
     """
     if box.d != ensemble.d:
         raise ValueError(f"box dimension {box.d} does not match ensemble dimension {ensemble.d}")
@@ -308,4 +318,7 @@ def spectral_constants(ensemble: CostEnsemble, f: int, box: Hypercube) -> Spectr
         )
         zeta_exact = False
     alpha = lam / (lam + 2.0 * np.sqrt(d) * mu) - f / n
-    return SpectralConstants(mu=float(mu), lam=lam, zeta=float(zeta), alpha=float(alpha), zeta_exact=zeta_exact)
+    values = {"mu": float(mu), "lambda": lam, "zeta": float(zeta), "alpha": float(alpha)}
+    if not all(math.isfinite(v) for v in values.values()):
+        raise ValueError("constants are not finite: " + ", ".join(f"{k} = {v:.6g}" for k, v in values.items()))
+    return SpectralConstants(*values.values(), zeta_exact=zeta_exact)

@@ -178,7 +178,10 @@ def run(scenario: Scenario) -> RunResult:
     # first, so a scenario without a unique honest minimizer is refused
     # before the constants divide by its zero curvature
     x_star = honest_minimizer(scenario.ensemble)
-    constants = spectral_constants(scenario.ensemble, scenario.f, box)
+    try:
+        constants = spectral_constants(scenario.ensemble, scenario.f, box)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     warnings: list[str] = []
     try:
         redundant = check_redundancy_sufficient(scenario.ensemble, scenario.f)

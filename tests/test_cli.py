@@ -52,6 +52,25 @@ def inapplicable_redundancy_scenario(tmp_path):
     return path
 
 
+# Explicit costs whose constants overflow float64: one stiff honest cost
+# makes zeta infinite; two make the honest Hessian sum infinite too.
+def overflowing_costs(*stiff):
+    return {
+        "version": 1, "n": 3, "f": 1, "d": 1, "xi": 10.0, "seed": 0, "horizon": 5, "faulty_ids": [2],
+        "adversary": {"kind": "sign_flip"},
+        "ensemble": {"costs": [{"A": [[a]], "b": [0.0]} for a in (*stiff, 1.0)]},
+    }
+
+
+NON_FINITE = {
+    "zeta_overflows": (overflowing_costs(1.0e308, 1.0), "error: constants are not finite: mu = 1e+308, "),
+    "sum_overflows": (
+        overflowing_costs(1.0e308, 1.0e308),
+        "error: honest costs have no unique minimizer: summed honest costs overflow float64",
+    ),
+}
+
+
 def read_summary(out_dir):
     return json.loads((out_dir / "summary.json").read_text())
 
@@ -261,6 +280,19 @@ class TestCheck:
         assert captured.err.startswith("error: ") and "no unique minimizer" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("case", NON_FINITE)
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_non_finite_constants_exit_2(self, tmp_path, capsys, command, case):
+        mapping, error = NON_FINITE[case]
+        path = tmp_path / "overflow.yaml"
+        path.write_text(dump_scenario(mapping))
+        argv = [command, str(path)] + (["-o", str(tmp_path / "out")] if command == "run" else [])
+        # the warning filter turns any numpy RuntimeWarning into an error here
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(error) and captured.err.count("\n") == 1
+
     def test_inapplicable_redundancy_check(self, inapplicable_redundancy_scenario, tmp_path, capsys):
         assert main(["check", str(inapplicable_redundancy_scenario)]) == 0
         out = capsys.readouterr().out
@@ -277,7 +309,7 @@ class TestCheck:
 
 @st.composite
 def explicit_cost_scenarios(draw):
-    """Small explicit-cost scenarios, singular and stiff Hessian sums included."""
+    """Small explicit-cost scenarios, singular, stiff and overflowing Hessian sums included."""
     n = draw(st.integers(1, 7))
     f = draw(st.integers(0, (n - 1) // 2))
     d = draw(st.integers(1, 3))
@@ -290,7 +322,7 @@ def explicit_cost_scenarios(draw):
         adversary["target"] = draw(coords)
         adversary["estimates"] = draw(st.sampled_from(["target", "random_in_box"]))
     costs = [
-        {"A": (draw(st.sampled_from([0.0, 1e-3, 1.0, 50.0])) * np.eye(d)).tolist(), "b": draw(coords)}
+        {"A": (draw(st.sampled_from([0.0, 1e-3, 1.0, 50.0, 1e308])) * np.eye(d)).tolist(), "b": draw(coords)}
         for _ in range(n)
     ]
     return {
@@ -316,6 +348,11 @@ class TestCheckRunAgreement:
             summary = read_summary(Path(tmp) / "out") if run_code == 0 else None
         assert check_code in (0, 2, 3) and run_code in (0, 2, 3)
         assert (check_code == 2) == (run_code == 2)
+        if check_code == 0:
+            # a constant check prints is a finite number, never inf or nan
+            for name in ("mu", "lambda", "zeta", "alpha"):
+                value = re.search(rf"^{name} = (\S+)", report.getvalue(), re.MULTILINE).group(1)
+                assert np.isfinite(float(value)), f"{name} = {value}"
         if summary is not None:
             # the redundancy verdicts of the two commands agree
             verdicts = {

@@ -126,6 +126,13 @@ class TestAggregateMinimizer:
         with pytest.raises(ValueError, match="aggregate not strongly convex"):
             aggregate_minimizer(ensemble)
 
+    def test_overflowing_sum_rejected(self):
+        # each Hessian is finite, their sum is not; refused without a numpy warning
+        costs = tuple(QuadraticCost(A=np.array([[1.0e308]]), b=np.zeros(1)) for _ in range(2))
+        ensemble = CostEnsemble(costs=costs, honest_set=frozenset({0, 1}))
+        with pytest.raises(ValueError, match="summed honest costs overflow float64"):
+            aggregate_minimizer(ensemble)
+
     def test_only_honest_agents_count(self):
         # the faulty agent's cost would drag the minimizer to +10 if included
         costs = (
@@ -291,6 +298,16 @@ class TestSpectralConstants:
         assert got == _max_gradient_norm_on_box(cost, 1.0)
         assert 1 <= len(evaluated) - 1 < 2 ** (d - 2) // 4
 
+    def test_block_whose_bound_overflows_is_evaluated(self):
+        # sigma_max(A)^2 overflows to a NaN bound, yet every squared norm on
+        # the small box is finite; the flat costs' finite bounds, 1 and then
+        # 0.25, must not end the sweep before the stiff cost is evaluated
+        stiff = QuadraticCost(A=1.0e155 * np.eye(2), b=np.zeros(2))
+        flat = [QuadraticCost(A=np.zeros((2, 2)), b=np.array([0.0, b])) for b in (1.0, 0.5)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = costs_module._max_gradient_norm_on_box([*flat, stiff], 1e-3)
+        assert got == _max_gradient_norm_on_box(stiff, 1e-3) == np.sqrt(2) * 1.0e152
+
     def test_high_dim_falls_back_to_bound(self):
         d = 21
         ensemble = make_redundant_ensemble(3, 1, d, [0.0] * d, seed=0, eig_min=1.0, eig_max=1.0)
@@ -299,6 +316,22 @@ class TestSpectralConstants:
         assert not consts.zeta_exact
         # true max over the box for A=I, b=0 is sqrt(d)*xi per agent
         assert consts.zeta >= 2 * np.sqrt(d) * 1.0 - 1e-9
+
+    @pytest.mark.parametrize(
+        "scales, d, bad",
+        [
+            ((0.0, 0.0), 1, "alpha = nan"),  # all-zero Hessians: alpha is 0/0
+            ((1.0e308, 1.0), 1, "zeta = inf"),  # the vertex sweep overflows
+            ((1.0e308, 1.0), 21, "zeta = inf"),  # so does the analytic bound above the vertex limit
+        ],
+        ids=["zero_hessians", "overflow_exact", "overflow_bound"],
+    )
+    def test_non_finite_constants_refused(self, scales, d, bad):
+        costs = tuple(QuadraticCost(A=scale * np.eye(d), b=np.zeros(d)) for scale in scales)
+        ensemble = CostEnsemble(costs=costs, honest_set=frozenset(range(len(costs))))
+        # the warning filter turns any numpy RuntimeWarning into an error here
+        with pytest.raises(ValueError, match=rf"constants are not finite: .*{bad}"):
+            spectral_constants(ensemble, 0, Hypercube(10.0, d))
 
     def test_zeta_bounds_honest_subset_sums(self):
         rng = np.random.default_rng(8)
