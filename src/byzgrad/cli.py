@@ -142,6 +142,8 @@ def _sweep_worker(args: tuple) -> dict:
         return {"point": label, "status": "aborted", "error": str(exc)}
     except OSError as exc:
         return {"point": label, "status": "os_error", "error": str(exc)}
+    except MemoryError as exc:
+        return {"point": label, "status": "out_of_memory", "error": str(exc)}
     return {
         "point": label,
         "status": "ok",

@@ -11,6 +11,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import byzgrad.cli
 import byzgrad.scenario_io
 from byzgrad.cli import TRACE_HEADER, main
 from byzgrad.protocol import ADVERSARY_KINDS
@@ -472,6 +473,23 @@ class TestSweep:
         assert [p["status"] for p in points] == ["ok", "os_error", "ok"]
         assert "seed=2" in points[1]["error"]
         assert (out / "seed=3" / "trace.csv").exists()
+
+    def test_out_of_memory_point_recorded(self, sweep_base, tmp_path, capsys, monkeypatch):
+        real = byzgrad.cli._run_one
+
+        def exhausted_at_f3(loaded, out_dir):
+            if loaded.scenario.f == 3:
+                raise MemoryError("Unable to allocate 1.00 TiB for an array")  # nothing is allocated
+            return real(loaded, out_dir)
+
+        monkeypatch.setattr(byzgrad.cli, "_run_one", exhausted_at_f3)
+        out = tmp_path / "sweep"
+        assert main(["run", str(sweep_base), "-o", str(out), "--sweep", "f=2..4"]) == 2
+        points = json.loads((out / "index.json").read_text())["points"]
+        assert [p["status"] for p in points] == ["ok", "out_of_memory", "ok"]
+        assert points[1]["error"] == "Unable to allocate 1.00 TiB for an array"
+        assert (out / "f=4" / "trace.csv").exists()
+        assert "f=3: out_of_memory Unable to allocate" in capsys.readouterr().out
 
     @pytest.mark.parametrize("content", [b"version: 1\nn: [unclosed\n", b"version: 1\n\xff\xfe\n"], ids=["yaml", "utf8"])
     def test_malformed_base_exits_2(self, tmp_path, capsys, content):
