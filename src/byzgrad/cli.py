@@ -27,14 +27,14 @@ from pathlib import Path
 
 import yaml
 
-from .costs import check_redundancy_sufficient, spectral_constants
+from .costs import SpectralConstants, check_redundancy_sufficient, spectral_constants
 from .errors import ConfigError, SimulationAbort
 from .metrics import RoundTrace
 from .scenario_io import (
     ENV_SEED, TEMPLATES, LoadedScenario, build_template, dump_scenario, load_scenario_file, parse_scenario_text,
     read_scenario_file, read_scenario_mapping,
 )
-from .simulator import RunResult, honest_minimizer, run
+from .simulator import RunResult, Scenario, honest_minimizer, run
 
 TRACE_HEADER = "t,eta,diameter_inf,diameter_l2,V,max_dist,cge_norm_max,zeta_violated"
 
@@ -66,6 +66,14 @@ def write_trace_csv(path: Path, trace: list[RoundTrace]) -> None:
             handle.write(_trace_row(row) + "\n")
 
 
+def _named_values(scenario: Scenario, constants: SpectralConstants) -> dict:
+    """The sizes and constants that `check` reports and summary.json records, under the names both use."""
+    return {
+        "n": scenario.n, "f": scenario.f, "d": scenario.d, "xi": scenario.xi,
+        "mu": constants.mu, "lambda": constants.lam, "zeta": constants.zeta, "alpha": constants.alpha,
+    }
+
+
 def build_summary(loaded: LoadedScenario, result: RunResult) -> dict:
     first, last = result.trace[0], result.trace[-1]
     constants = result.constants
@@ -73,16 +81,9 @@ def build_summary(loaded: LoadedScenario, result: RunResult) -> dict:
     scenario = loaded.scenario
     return {
         "digest": loaded.digest,
-        "n": scenario.n,
-        "f": scenario.f,
-        "d": scenario.d,
-        "xi": scenario.xi,
+        **_named_values(scenario, constants),
         "seed": scenario.seed,
-        "mu": constants.mu,
-        "lambda": constants.lam,
-        "zeta": constants.zeta,
         "zeta_exact": constants.zeta_exact,
-        "alpha": constants.alpha,
         "redundancy_ok": result.redundancy_ok,
         "preconditions_ok": preconditions_ok,
         "verdict": "converged" if last.v <= first.v / 100.0 else "not_converged",
@@ -224,20 +225,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_gen(args) -> int:
-    params = {k: v for k, v in vars(args).items() if k not in ("command", "template") and v is not None}
-    try:
-        mapping = build_template(args.template, **params)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc))
-    text = dump_scenario(mapping)
-    parse_scenario_text(text)  # never print a file that `run` would refuse
-    sys.stdout.write(text)
-    return 0
-
-
-def cmd_check(args) -> int:
-    loaded = load_scenario_file(args.scenario, _overrides())
+def check_report(loaded: LoadedScenario) -> list[str]:
+    """The lines `check` prints; raises ConfigError for every scenario that `run` refuses."""
     scenario = loaded.scenario
     # the same refusal as `run`, before the constants divide by zero curvature
     honest_minimizer(scenario.ensemble)
@@ -253,18 +242,26 @@ def cmd_check(args) -> int:
         redundancy, reasons = ("OK", []) if redundant else ("FAIL", ["not redundant"])
     if constants.alpha <= 0.0:
         reasons.append("alpha <= 0")
-    print(f"n = {scenario.n}")
-    print(f"f = {scenario.f}")
-    print(f"d = {scenario.d}")
-    print(f"xi = {scenario.xi:.10g}")
-    print(f"mu = {constants.mu:.10g}")
-    print(f"lambda = {constants.lam:.10g}")
-    print(f"zeta = {constants.zeta:.10g}" + ("" if constants.zeta_exact else " (upper bound)"))
-    print(f"alpha = {constants.alpha:.10g}")
-    print(f"redundancy: {redundancy}")
+    bound = "" if constants.zeta_exact else " (upper bound)"
+    lines = [f"{k} = {v:.10g}" + (bound if k == "zeta" else "") for k, v in _named_values(scenario, constants).items()]
     verdict = "OK" if not reasons else "FAIL (" + ", ".join(reasons) + ")"
-    print(f"convergence preconditions: {verdict}")
-    print(f"digest: {loaded.digest}")
+    return lines + [f"redundancy: {redundancy}", f"convergence preconditions: {verdict}", f"digest: {loaded.digest}"]
+
+
+def cmd_gen(args) -> int:
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "template") and v is not None}
+    try:
+        mapping = build_template(args.template, **params)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc))
+    text = dump_scenario(mapping)
+    check_report(parse_scenario_text(text))  # never print a file that `run` or `check` would refuse
+    sys.stdout.write(text)
+    return 0
+
+
+def cmd_check(args) -> int:
+    print("\n".join(check_report(load_scenario_file(args.scenario, _overrides()))))
     return 0
 
 
