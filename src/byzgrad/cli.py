@@ -182,6 +182,8 @@ def _parse_sweep(spec: str) -> tuple[str, list]:
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     out_root = Path(args.out)
     overrides = _overrides(args.record_every)
     if args.sweep is None:
@@ -229,7 +231,7 @@ def check_report(loaded: LoadedScenario) -> list[str]:
     """The lines `check` prints; raises ConfigError for every scenario that `run` refuses."""
     scenario = loaded.scenario
     # the same refusal as `run`, before the constants divide by zero curvature
-    honest_minimizer(scenario.ensemble)
+    honest_minimizer(scenario)
     try:
         constants = spectral_constants(scenario.ensemble, scenario.f, scenario.box)
     except ValueError as exc:

@@ -295,7 +295,9 @@ def spectral_constants(ensemble: CostEnsemble, f: int, box: Hypercube) -> Spectr
 
     Raises ValueError when a constant is not finite: costs whose
     arithmetic overflows float64 on the box, or an honest set whose
-    Hessians are all zero (alpha is then 0/0).
+    Hessians are all zero (alpha is then 0/0). Also when zeta^2
+    overflows: zeta bounds the norm of every filtered gradient, and
+    those norms are computed from squares.
     """
     if box.d != ensemble.d:
         raise ValueError(f"box dimension {box.d} does not match ensemble dimension {ensemble.d}")
@@ -321,4 +323,7 @@ def spectral_constants(ensemble: CostEnsemble, f: int, box: Hypercube) -> Spectr
     values = {"mu": float(mu), "lambda": lam, "zeta": float(zeta), "alpha": float(alpha)}
     if not all(math.isfinite(v) for v in values.values()):
         raise ValueError("constants are not finite: " + ", ".join(f"{k} = {v:.6g}" for k, v in values.items()))
+    # squared by multiplication: float ** raises OverflowError where * gives inf
+    if not math.isfinite(values["zeta"] * values["zeta"]):
+        raise ValueError(f"zeta = {values['zeta']:.6g} bounds filtered-gradient norms whose squares overflow float64")
     return SpectralConstants(*values.values(), zeta_exact=zeta_exact)

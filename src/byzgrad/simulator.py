@@ -24,6 +24,7 @@ warning on the result, and the rounds proceed regardless; observing those
 regimes is the point.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,12 +128,27 @@ class RunResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def honest_minimizer(ensemble: CostEnsemble) -> Point:
-    """The honest aggregate minimizer, or a ConfigError when it is not unique."""
+def honest_minimizer(scenario: Scenario) -> Point:
+    """The honest aggregate minimizer, or a ConfigError when it is not unique.
+
+    Also a ConfigError: a box so wide, or a minimizer so far out, that
+    d * (2 xi + max|x*|)^2 overflows float64. That bounds every squared
+    distance the trace measures (between estimates, and to x*), so below
+    it no trace number is infinite.
+    """
     try:
-        return aggregate_minimizer(ensemble)
+        x_star = aggregate_minimizer(scenario.ensemble)
     except ValueError as exc:
         raise ConfigError(f"honest costs have no unique minimizer: {exc}") from exc
+    far = float(np.abs(x_star).max())
+    reach = 2.0 * scenario.xi + far
+    # squared by multiplication: float ** raises OverflowError where * gives inf
+    if not math.isfinite(scenario.d * reach * reach):
+        raise ConfigError(
+            f"squared distances in the box overflow float64: d * (2 xi + max|x*|)^2 with d = {scenario.d}, "
+            f"xi = {scenario.xi:.6g}, max|x*| = {far:.6g}"
+        )
+    return x_star
 
 
 def _admit(
@@ -177,7 +193,7 @@ def run(scenario: Scenario) -> RunResult:
     box = scenario.box
     # first, so a scenario without a unique honest minimizer is refused
     # before the constants divide by its zero curvature
-    x_star = honest_minimizer(scenario.ensemble)
+    x_star = honest_minimizer(scenario)
     try:
         constants = spectral_constants(scenario.ensemble, scenario.f, box)
     except ValueError as exc:
@@ -244,12 +260,16 @@ def run(scenario: Scenario) -> RunResult:
                 inbox_grad[b, s] = grad
         _admit(t, inbox_est, inbox_grad, faulty_ids, honest_ids)
 
-        # phase 2: every honest agent updates on its complete inbox
-        for b, i in enumerate(honest_ids):
-            try:
-                next_estimates[b], filtered[b] = honest_round(i, inbox_est[b], inbox_grad[b], eta_t, scenario.f, box)
-            except ValueError as exc:
-                raise SimulationAbort(t, str(exc)) from exc
+        # phase 2: every honest agent updates on its complete inbox; a step
+        # that overflows is aborted by project_box's finiteness check, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b, i in enumerate(honest_ids):
+                try:
+                    next_estimates[b], filtered[b] = honest_round(
+                        i, inbox_est[b], inbox_grad[b], eta_t, scenario.f, box
+                    )
+                except ValueError as exc:
+                    raise SimulationAbort(t, str(exc)) from exc
 
         if t % stride == 0 or t == horizon:
             diameter_inf, diameter_l2 = consensus_diameter(estimates)

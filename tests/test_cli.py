@@ -63,11 +63,30 @@ def overflowing_costs(*stiff):
     }
 
 
+# Three identical costs and no faulty agent. With xi = 1e160 every constant
+# is finite, but a squared distance in the box is not; with A = 1e150 at
+# xi = 1e4, zeta = 3e154 is finite, but the squared norm it bounds is not.
+def identical_costs(xi, a):
+    return {
+        "version": 1, "n": 3, "f": 0, "d": 1, "xi": xi, "seed": 1, "horizon": 20,
+        "adversary": {"kind": "sign_flip"},
+        "ensemble": {"costs": [{"A": [[a]], "b": [0.0]}] * 3},
+    }
+
+
 NON_FINITE = {
     "zeta_overflows": (overflowing_costs(1.0e308, 1.0), "error: constants are not finite: mu = 1e+308, "),
     "sum_overflows": (
         overflowing_costs(1.0e308, 1.0e308),
         "error: honest costs have no unique minimizer: summed honest costs overflow float64",
+    ),
+    "distances_overflow": (
+        identical_costs(1.0e160, 1.0e-11),
+        "error: squared distances in the box overflow float64: d * (2 xi + max|x*|)^2 with d = 1, xi = 1e+160,",
+    ),
+    "zeta_squared_overflows": (
+        identical_costs(1.0e4, 1.0e150),
+        "error: zeta = 3e+154 bounds filtered-gradient norms whose squares overflow float64\n",
     ),
 }
 
@@ -111,6 +130,14 @@ class TestGen:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         # the refusal names the parameter, not a Python internal
         assert re.search(rf"\b{flag[2:].replace('-', '_')}\b", captured.err), captured.err
+
+    @pytest.mark.parametrize("template", ["redundant_quadratic", "violated_redundancy"])
+    def test_prints_no_file_whose_arithmetic_overflows(self, capsys, template):
+        # the file parses; check's analysis refuses it, so gen prints nothing
+        assert main(["gen", template, "--xi", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
         def exhausted(d=1):
@@ -191,6 +218,15 @@ ensemble:
         path.write_text(text)
         assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 3
         assert "round 0" in capsys.readouterr().err
+
+    def test_overflowing_step_aborts_without_a_warning(self, tmp_path, capsys):
+        assert main(["gen", "redundant_quadratic", "--n", "4", "--f", "1", "--d", "2", "--horizon", "5", "--eta0", "1e308"]) == 0
+        path = tmp_path / "overflow.yaml"
+        path.write_text(capsys.readouterr().out)
+        # the warning filter turns any numpy RuntimeWarning into an error here
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "aborted: round 0: agent 0: point has non-finite coordinates\n"
 
     def test_zeta_bound_above_vertex_limit(self, tmp_path, capsys):
         mapping = build_template("redundant_quadratic", n=3, f=1, d=21, horizon=5)
@@ -310,11 +346,11 @@ class TestCheck:
 
 @st.composite
 def explicit_cost_scenarios(draw):
-    """Small explicit-cost scenarios, singular, stiff and overflowing Hessian sums included."""
+    """Small explicit-cost scenarios, singular, stiff and overflowing Hessian sums and boxes included."""
     n = draw(st.integers(1, 7))
     f = draw(st.integers(0, (n - 1) // 2))
     d = draw(st.integers(1, 3))
-    xi = draw(st.sampled_from([1.0, 10.0]))
+    xi = draw(st.sampled_from([1.0, 10.0, 1e160]))
     coords = st.lists(st.floats(-2 * xi, 2 * xi), min_size=d, max_size=d)
     adversary = {"kind": draw(st.sampled_from(ADVERSARY_KINDS))}
     if adversary["kind"] == "norm_inflate":
@@ -323,7 +359,7 @@ def explicit_cost_scenarios(draw):
         adversary["target"] = draw(coords)
         adversary["estimates"] = draw(st.sampled_from(["target", "random_in_box"]))
     costs = [
-        {"A": (draw(st.sampled_from([0.0, 1e-3, 1.0, 50.0, 1e308])) * np.eye(d)).tolist(), "b": draw(coords)}
+        {"A": (draw(st.sampled_from([0.0, 1e-3, 1.0, 50.0, 1e150, 1e308])) * np.eye(d)).tolist(), "b": draw(coords)}
         for _ in range(n)
     ]
     return {
@@ -334,10 +370,25 @@ def explicit_cost_scenarios(draw):
     }
 
 
+def refuse_constant(name):
+    raise ValueError(f"summary.json holds {name}, which is not JSON")
+
+
+def numbers(node):
+    """Every number in a loaded JSON document."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [x for item in node for x in numbers(item)]
+    return [node] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
 class TestCheckRunAgreement:
     @settings(max_examples=60, deadline=None)
     @given(explicit_cost_scenarios())
     @example(INAPPLICABLE_REDUNDANCY)
+    @example(identical_costs(1.0e160, 1.0e-11))
+    @example(identical_costs(1.0e4, 1.0e150))
     def test_check_refuses_exactly_what_run_refuses(self, mapping):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "scenario.yaml"
@@ -345,9 +396,19 @@ class TestCheckRunAgreement:
             report = io.StringIO()
             with contextlib.redirect_stdout(report):
                 check_code = main(["check", str(path)])
-            run_code = main(["run", str(path), "-o", str(Path(tmp) / "out")])
-            summary = read_summary(Path(tmp) / "out") if run_code == 0 else None
+            out = Path(tmp) / "out"
+            run_code = main(["run", str(path), "-o", str(out)])
+            if run_code == 0:
+                summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse_constant)
+                rows = [line.split(",") for line in (out / "trace.csv").read_text().splitlines()[1:]]
+            else:
+                summary, rows = None, []
         assert check_code in (0, 2, 3) and run_code in (0, 2, 3)
+        # what run writes holds no infinite or NaN measurement; t leads a row and zeta_violated ends it
+        trace_numbers = [float(value) for row in rows for value in row[1:-1]]
+        assert all(np.isfinite(trace_numbers)), rows
+        if summary is not None:
+            assert all(np.isfinite(numbers(summary))), summary
         assert (check_code == 2) == (run_code == 2)
         if check_code == 0:
             # a constant check prints is a finite number, never inf or nan
@@ -454,6 +515,13 @@ class TestSweep:
         assert err.startswith(f"error: --sweep {key}=") and source in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_refused(self, sweep_base, tmp_path, capsys, jobs):
+        out = tmp_path / "sweep"
+        assert main(["run", str(sweep_base), "-o", str(out), "--sweep", "seed=1..1", "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert not out.exists()
+
     def test_bad_sweep_spec(self, sweep_base, tmp_path, capsys):
         assert main(["run", str(sweep_base), "-o", str(tmp_path / "x"), "--sweep", "nonsense"]) == 2
 
@@ -511,6 +579,17 @@ class TestSweep:
         points = json.loads((out / "index.json").read_text())["points"]
         assert [p["status"] for p in points] == ["ok", "aborted"]
         assert "round 0" in points[1]["error"]
+
+    def test_overflowing_step_points_recorded_as_aborted(self, tmp_path, capsys):
+        mapping = build_template("redundant_quadratic", n=4, f=1, d=2, horizon=5, eta0=1e308)
+        path = tmp_path / "base.yaml"
+        path.write_text(dump_scenario(mapping))
+        out = tmp_path / "sweep"
+        # the warning filter turns any numpy RuntimeWarning into an error here
+        assert main(["run", str(path), "-o", str(out), "--sweep", "seed=1..2"]) == 3
+        points = json.loads((out / "index.json").read_text())["points"]
+        assert [p["status"] for p in points] == ["aborted", "aborted"]
+        assert all(p["error"] == "round 0: agent 0: point has non-finite coordinates" for p in points)
 
     def test_singular_points_recorded_as_config_errors(self, singular_scenario, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -333,6 +333,13 @@ class TestSpectralConstants:
         with pytest.raises(ValueError, match=rf"constants are not finite: .*{bad}"):
             spectral_constants(ensemble, 0, Hypercube(10.0, d))
 
+    def test_zeta_whose_square_overflows_refused(self):
+        costs = tuple(QuadraticCost(A=np.array([[1.0e150]]), b=np.zeros(1)) for _ in range(3))
+        ensemble = CostEnsemble(costs=costs, honest_set=frozenset(range(3)))
+        # zeta = 3e154 is finite; the squared norms of filtered gradients it bounds are not
+        with pytest.raises(ValueError, match=r"^zeta = 3e\+154 bounds filtered-gradient norms whose squares overflow"):
+            spectral_constants(ensemble, 0, Hypercube(1.0e4, 1))
+
     def test_zeta_bounds_honest_subset_sums(self):
         rng = np.random.default_rng(8)
         n, f, d = 6, 1, 3
