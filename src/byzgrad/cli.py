@@ -9,6 +9,9 @@ code), 2 on configuration errors, 3 on a mid-run numeric abort. The
 BYZGRAD_SEED environment variable overrides the file seed for ad-hoc
 replays; it must lie in [0, 2^64 - 1] like a file seed.
 
+`check` and `gen` share one analysis, `check_report`, which refuses
+every file that `run` refuses, so `gen` never prints such a file.
+
 Every value put over the file (BYZGRAD_SEED, --record-every and each
 sweep point's key=value) is an override passed to parse_scenario_text,
 so it goes through the file's own validation. A sweep reads the file
