@@ -28,8 +28,11 @@ Adversary strategies (names appear verbatim in scenario files):
                     norm zeta, the strongest pull toward the target that
                     still claims to respect the gradient bound
 
-Randomized strategies draw from the caller's CounterStream at (round,
-sender, receiver), so a message is a pure function of those coordinates.
+Randomized strategies take their values from the run's CounterStream at
+(round, sender, receiver), so a message is a pure function of those
+coordinates. `AdversaryStrategy.draw_bounds` states what a message draws,
+in order: `random_in_box` d values in [-xi, xi], then d in [-zeta, zeta];
+`collude_target` with random estimates d in [-xi, xi]; the others none.
 """
 
 from dataclasses import dataclass, field
@@ -151,6 +154,15 @@ class AdversaryStrategy:
             if self.estimates not in ESTIMATE_MODES:
                 raise ValueError(f"estimates mode must be one of {ESTIMATE_MODES}")
 
+    def draw_bounds(self, box: Hypercube, zeta: float) -> tuple[np.ndarray, np.ndarray]:
+        """The (low, high) bounds of the values one message draws, in draw order."""
+        high = np.empty(0)
+        if self.kind == "random_in_box":
+            high = np.concatenate((np.full(box.d, box.xi), np.full(box.d, zeta)))
+        elif self.kind == "collude_target" and self.estimates == "random_in_box":
+            high = np.full(box.d, box.xi)
+        return -high, high
+
 
 def adversary_emit(
     strategy: AdversaryStrategy,
@@ -162,10 +174,11 @@ def adversary_emit(
 ) -> tuple[Point, Point]:
     """The (estimate, gradient) pair a faulty `sender` gives `receiver` in `round_`.
 
-    `stream` is the CounterStream of the run seed and the adversary purpose;
-    randomized strategies draw from it at (round_, sender, receiver).
+    `stream` is the run's CounterStream of the adversary purpose, built
+    with this strategy's `draw_bounds`; randomized strategies take their
+    values from it at (round_, sender, receiver).
     """
-    box, zeta = observed.box, observed.zeta
+    box = observed.box
     kind = strategy.kind
 
     if kind == "sign_flip":
@@ -179,19 +192,14 @@ def adversary_emit(
         estimate = np.where(observed.estimate_median <= 0.0, box.xi, -box.xi)
         return estimate, np.zeros(box.d)
 
-    rng = stream.at(round_, sender, receiver)
+    draws = stream.at(round_, sender, receiver)
 
     if kind == "random_in_box":
-        estimate = rng.uniform(-box.xi, box.xi, size=box.d)
-        grad = rng.uniform(-zeta, zeta, size=box.d)
-        return estimate, grad
+        return draws[: box.d], draws[box.d :]
 
     # collude_target
     grad = observed.colluding_pull(strategy.target)
-    if strategy.estimates == "random_in_box":
-        estimate = rng.uniform(-box.xi, box.xi, size=box.d)
-    else:
-        estimate = strategy.target
+    estimate = draws if strategy.estimates == "random_in_box" else strategy.target
     return estimate, grad
 
 

@@ -221,7 +221,10 @@ def run(scenario: Scenario) -> RunResult:
     stride = scenario.stride
     horizon = scenario.horizon
     trace: list[RoundTrace] = []
-    adversary_stream = CounterStream(scenario.seed, PURPOSE_ADVERSARY)
+    adversary_stream = CounterStream(
+        scenario.seed, PURPOSE_ADVERSARY, faulty_ids, honest_ids,
+        *scenario.adversary.draw_bounds(box, constants.zeta), horizon,
+    )
     d = scenario.d
     honest_rows = np.array(honest_ids, dtype=np.intp)
     if isinstance(scenario.init, np.ndarray):

@@ -25,8 +25,10 @@ def make_observed(estimates, gradients, xi, zeta):
     return ObservedRound(est, np.asarray(gradients, dtype=float), Hypercube(xi, est.shape[1]), zeta)
 
 
-def stream(seed):
-    return CounterStream(seed, PURPOSE_ADVERSARY)
+def stream(seed, strategy, observed):
+    """The adversary CounterStream of a run with agent ids 0..9 and horizon 11."""
+    low, high = strategy.draw_bounds(observed.box, observed.zeta)
+    return CounterStream(seed, PURPOSE_ADVERSARY, range(10), range(10), low, high, horizon=11)
 
 
 def reference_step(me, x, cost, inbox, eta_t, f, box):
@@ -220,20 +222,20 @@ class TestAdversaries:
     def test_sign_flip_negates_mean_gradient(self):
         observed = make_observed([[0.0, 0.0], [2.0, 2.0]], [[1.0, -2.0], [1.0, -2.0]], 5.0, 10.0)
         strategy = AdversaryStrategy(kind="sign_flip")
-        estimate, grad = adversary_emit(strategy, 0, 9, 1, observed, stream(0))
+        estimate, grad = adversary_emit(strategy, 0, 9, 1, observed, stream(0, strategy, observed))
         assert np.array_equal(grad, [-1.0, 2.0])
         assert np.array_equal(estimate, [1.0, 1.0])
 
     def test_norm_inflate_scales(self):
         observed = make_observed([[0.0]], [[1.0]], 5.0, 10.0)
         strategy = AdversaryStrategy(kind="norm_inflate", scale=10.0)
-        estimate, grad = adversary_emit(strategy, 3, 9, 0, observed, stream(0))
+        estimate, grad = adversary_emit(strategy, 3, 9, 0, observed, stream(0, strategy, observed))
         assert np.linalg.norm(grad) == pytest.approx(10.0, abs=1e-12)
 
     def test_coord_extreme_picks_far_corner(self):
         observed = make_observed([[1.0, -3.0], [2.0, -1.0], [3.0, -2.0]], np.zeros((3, 2)), 5.0, 1.0)
         strategy = AdversaryStrategy(kind="coord_extreme")
-        estimate, grad = adversary_emit(strategy, 0, 9, 0, observed, stream(0))
+        estimate, grad = adversary_emit(strategy, 0, 9, 0, observed, stream(0, strategy, observed))
         # medians (2, -2): farthest corners are -5 and +5
         assert np.array_equal(estimate, [-5.0, 5.0])
         assert np.array_equal(grad, [0.0, 0.0])
@@ -241,8 +243,8 @@ class TestAdversaries:
     def test_random_in_box_replays_identically(self):
         observed = make_observed([[0.5, 0.5]], [[1.0, 1.0]], 2.0, 7.0)
         strategy = AdversaryStrategy(kind="random_in_box")
-        first_estimate, first_grad = adversary_emit(strategy, 11, 8, 3, observed, stream(99))
-        second_estimate, second_grad = adversary_emit(strategy, 11, 8, 3, observed, stream(99))
+        first_estimate, first_grad = adversary_emit(strategy, 11, 8, 3, observed, stream(99, strategy, observed))
+        second_estimate, second_grad = adversary_emit(strategy, 11, 8, 3, observed, stream(99, strategy, observed))
         assert np.array_equal(first_estimate, second_estimate)
         assert np.array_equal(first_grad, second_grad)
         assert (np.abs(first_estimate) <= 2.0).all()
@@ -251,16 +253,16 @@ class TestAdversaries:
     def test_random_in_box_differs_across_receivers_and_rounds(self):
         observed = make_observed([[0.0]], [[0.0]], 1.0, 1.0)
         strategy = AdversaryStrategy(kind="random_in_box")
-        a, _ = adversary_emit(strategy, 0, 9, 1, observed, stream(1))
-        b, _ = adversary_emit(strategy, 0, 9, 2, observed, stream(1))
-        c, _ = adversary_emit(strategy, 1, 9, 1, observed, stream(1))
+        a, _ = adversary_emit(strategy, 0, 9, 1, observed, stream(1, strategy, observed))
+        b, _ = adversary_emit(strategy, 0, 9, 2, observed, stream(1, strategy, observed))
+        c, _ = adversary_emit(strategy, 1, 9, 1, observed, stream(1, strategy, observed))
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_stream_matches_fresh_generators(self):
         observed = make_observed([[0.25, -0.5]], [[0.0, 0.0]], 3.0, 4.0)
         strategy = AdversaryStrategy(kind="random_in_box")
-        estimate, grad = adversary_emit(strategy, 7, 6, 2, observed, stream(5))
+        estimate, grad = adversary_emit(strategy, 7, 6, 2, observed, stream(5, strategy, observed))
         # the strategy draws its estimate, then its gradient, from the (7, 6, 2) substream
         fresh = substream(5, PURPOSE_ADVERSARY, 7, 6, 2)
         assert np.array_equal(estimate, fresh.uniform(-3.0, 3.0, size=2))
@@ -270,7 +272,7 @@ class TestAdversaries:
         observed = make_observed([[1.0, 0.0], [3.0, 0.0]], np.zeros((2, 2)), 5.0, 6.0)
         target = np.array([-2.0, 0.0])
         strategy = AdversaryStrategy(kind="collude_target", target=target)
-        estimate, grad = adversary_emit(strategy, 0, 9, 1, observed, stream(0))
+        estimate, grad = adversary_emit(strategy, 0, 9, 1, observed, stream(0, strategy, observed))
         assert np.array_equal(estimate, target)
         assert np.linalg.norm(grad) == pytest.approx(6.0, abs=1e-12)
         # pull points from the target toward the honest mean (2, 0)
@@ -279,15 +281,15 @@ class TestAdversaries:
     def test_collude_target_zero_pull_degenerates(self):
         observed = make_observed([[1.0]], np.zeros((1, 1)), 5.0, 6.0)
         strategy = AdversaryStrategy(kind="collude_target", target=np.array([1.0]))
-        assert np.array_equal(adversary_emit(strategy, 0, 9, 0, observed, stream(0))[1], [0.0])
+        assert np.array_equal(adversary_emit(strategy, 0, 9, 0, observed, stream(0, strategy, observed))[1], [0.0])
 
     def test_collude_target_random_estimates_mode(self):
         observed = make_observed([[1.0], [2.0]], np.zeros((2, 1)), 5.0, 6.0)
         strategy = AdversaryStrategy(
             kind="collude_target", target=np.array([4.0]), estimates="random_in_box"
         )
-        a_estimate, a_grad = adversary_emit(strategy, 0, 9, 1, observed, stream(3))
-        b_estimate, b_grad = adversary_emit(strategy, 0, 9, 2, observed, stream(3))
+        a_estimate, a_grad = adversary_emit(strategy, 0, 9, 1, observed, stream(3, strategy, observed))
+        b_estimate, b_grad = adversary_emit(strategy, 0, 9, 2, observed, stream(3, strategy, observed))
         assert not np.array_equal(a_estimate, b_estimate)  # per-receiver inconsistency
         assert np.array_equal(a_grad, b_grad)  # the colluding pull stays agreed
         assert abs(a_estimate[0]) <= 5.0

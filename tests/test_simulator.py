@@ -14,6 +14,7 @@ from byzgrad import (
     make_redundant_ensemble,
     run,
 )
+from byzgrad.seeds import PURPOSE_ADVERSARY, substream
 
 
 def redundant_scenario(
@@ -186,6 +187,33 @@ class TestDeterminism:
         dense_rows = {row.t: row for row in dense.trace}
         for row in sparse.trace:
             assert dense_rows[row.t] == row
+
+
+class TestBulkAdversaryDraws:
+    @pytest.mark.parametrize("horizon", [3, 130], ids=["shorter_than_a_fill", "two_fills"])
+    def test_messages_equal_per_site_substreams(self, monkeypatch, horizon):
+        real = byzgrad.simulator.adversary_emit
+        seen = {}
+
+        def emit(strategy, t, sender, receiver, observed, stream):
+            message = real(strategy, t, sender, receiver, observed, stream)
+            seen[t, sender, receiver] = (observed.zeta, *(np.array(part) for part in message))
+            return message
+
+        monkeypatch.setattr(byzgrad.simulator, "adversary_emit", emit)
+        run(redundant_scenario(horizon=horizon, adversary=AdversaryStrategy(kind="random_in_box")))
+        assert len(seen) == (horizon + 1) * 2 * 8
+        for (t, sender, receiver), (zeta, estimate, grad) in seen.items():
+            rng = substream(7, PURPOSE_ADVERSARY, t, sender, receiver)
+            assert np.array_equal(estimate, rng.uniform(-10.0, 10.0, size=3))
+            assert np.array_equal(grad, rng.uniform(-zeta, zeta, size=3))
+
+    def test_random_adversary_without_faulty_agents(self):
+        result = run(
+            redundant_scenario(n=5, f=0, d=2, x_star=[0.25, -0.5], horizon=5, faulty=set(),
+                               adversary=AdversaryStrategy(kind="random_in_box"))
+        )
+        assert len(result.trace) == 6
 
 
 class TestConservation:
