@@ -148,6 +148,8 @@ def _sweep_worker(args: tuple) -> dict:
         return {"point": label, "status": "os_error", "error": str(exc)}
     except MemoryError as exc:
         return {"point": label, "status": "out_of_memory", "error": str(exc)}
+    except Exception as exc:  # a fault of the program, recorded so the other points and index.json survive it
+        return {"point": label, "status": "internal_error", "error": f"{type(exc).__name__}: {exc}"}
     return {
         "point": label,
         "status": "ok",
@@ -223,7 +225,7 @@ def cmd_run(args) -> int:
         status = point["status"]
         extra = point.get("verdict", point.get("error", ""))
         print(f"{point['point']}: {status} {extra}".rstrip())
-    if any(p["status"] == "aborted" for p in points):
+    if any(p["status"] in ("aborted", "internal_error") for p in points):
         return 3
     if any(p["status"] != "ok" for p in points):
         return 2

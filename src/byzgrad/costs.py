@@ -135,6 +135,10 @@ class SpectralConstants:
     zeta_exact: bool  # False when zeta is the analytic bound, not the vertex max
 
 
+class HonestSumOverflow(ValueError):
+    """The honest Hessians or linear terms sum past float64."""
+
+
 @np.errstate(all="ignore")  # an overflowing sum is refused, not warned about
 def aggregate_minimizer(ensemble: CostEnsemble) -> Point:
     """Solve for the unique minimizer of the honest agents' summed cost.
@@ -147,7 +151,7 @@ def aggregate_minimizer(ensemble: CostEnsemble) -> Point:
     a_sum = sum(c.A for c in honest)
     b_sum = sum(c.b for c in honest)
     if not (np.isfinite(a_sum).all() and np.isfinite(b_sum).all()):
-        raise ValueError("summed honest costs overflow float64")
+        raise HonestSumOverflow("summed honest costs overflow float64")
     if np.linalg.eigvalsh(a_sum).min() <= SINGULARITY_TOL:
         raise ValueError("aggregate not strongly convex")
     x_star = np.linalg.solve(a_sum, b_sum)

@@ -29,7 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import CostEnsemble, SpectralConstants, aggregate_minimizer, check_redundancy_sufficient, spectral_constants
+from .costs import (
+    CostEnsemble,
+    HonestSumOverflow,
+    SpectralConstants,
+    aggregate_minimizer,
+    check_redundancy_sufficient,
+    spectral_constants,
+)
 from .errors import ConfigError, SimulationAbort
 from .filters import Hypercube, Point, as_point
 from .metrics import RoundTrace, check_zeta, consensus_diameter, lyapunov_v, max_distance
@@ -131,13 +138,16 @@ class RunResult:
 def honest_minimizer(scenario: Scenario) -> Point:
     """The honest aggregate minimizer, or a ConfigError when it is not unique.
 
-    Also a ConfigError: a box so wide, or a minimizer so far out, that
+    Also a ConfigError, naming the overflow: honest costs whose sum
+    overflows float64, and a box so wide, or a minimizer so far out, that
     d * (2 xi + max|x*|)^2 overflows float64. That bounds every squared
     distance the trace measures (between estimates, and to x*), so below
     it no trace number is infinite.
     """
     try:
         x_star = aggregate_minimizer(scenario.ensemble)
+    except HonestSumOverflow as exc:
+        raise ConfigError(str(exc)) from exc
     except ValueError as exc:
         raise ConfigError(f"honest costs have no unique minimizer: {exc}") from exc
     far = float(np.abs(x_star).max())

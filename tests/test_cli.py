@@ -78,7 +78,7 @@ NON_FINITE = {
     "zeta_overflows": (overflowing_costs(1.0e308, 1.0), "error: constants are not finite: mu = 1e+308, "),
     "sum_overflows": (
         overflowing_costs(1.0e308, 1.0e308),
-        "error: honest costs have no unique minimizer: summed honest costs overflow float64",
+        "error: summed honest costs overflow float64\n",
     ),
     "distances_overflow": (
         identical_costs(1.0e160, 1.0e-11),
@@ -558,6 +558,25 @@ class TestSweep:
         assert points[1]["error"] == "Unable to allocate 1.00 TiB for an array"
         assert (out / "f=4" / "trace.csv").exists()
         assert "f=3: out_of_memory Unable to allocate" in capsys.readouterr().out
+
+    def test_internal_error_point_recorded(self, sweep_base, tmp_path, capsys, monkeypatch):
+        real = byzgrad.cli._run_one
+
+        def faulty_at_f3(loaded, out_dir):
+            if loaded.scenario.f == 3:
+                raise RuntimeError("unexpected state")
+            return real(loaded, out_dir)
+
+        monkeypatch.setattr(byzgrad.cli, "_run_one", faulty_at_f3)
+        out = tmp_path / "sweep"
+        assert main(["run", str(sweep_base), "-o", str(out), "--sweep", "f=2..4", "--jobs", "1"]) == 3
+        points = json.loads((out / "index.json").read_text())["points"]
+        assert [p["status"] for p in points] == ["ok", "internal_error", "ok"]
+        assert points[1]["error"] == "RuntimeError: unexpected state"
+        assert (out / "f=4" / "trace.csv").exists()
+        captured = capsys.readouterr()
+        assert "f=3: internal_error RuntimeError: unexpected state" in captured.out
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("content", [b"version: 1\nn: [unclosed\n", b"version: 1\n\xff\xfe\n"], ids=["yaml", "utf8"])
     def test_malformed_base_exits_2(self, tmp_path, capsys, content):
