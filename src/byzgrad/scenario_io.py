@@ -111,13 +111,16 @@ class _Check:
         return [self.number(v, f"{name}[{k}]", path) for k, v in enumerate(value)]
 
 
+_LOADER = yaml.SafeLoader  # refuses unprintable characters
+
+
 def read_scenario_mapping(text: str) -> tuple[dict, yaml.Node]:
     """Compose YAML text once; return the mapping it holds and its node tree."""
     try:
-        loader = yaml.SafeLoader(text)  # refuses unprintable characters
+        loader = _LOADER(text)
         node = loader.get_single_node()
         data = None if node is None else loader.construct_document(node)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:  # libyaml cannot take a lone surrogate, SafeLoader refuses it
         mark = getattr(exc, "problem_mark", None)
         raise ConfigError(f"not valid YAML: {exc}", line=None if mark is None else mark.line + 1)
     if not isinstance(data, dict):

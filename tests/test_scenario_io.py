@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+import byzgrad.scenario_io
 from byzgrad import ConfigError, check_redundancy_sufficient, run, spectral_constants
 from byzgrad.scenario_io import (
     build_template,
@@ -123,6 +124,49 @@ def same(a, b) -> bool:
 
 
 OVERRIDES = [("seed", 12), ("f", 2), ("record_every", 3), ("schedule.eta0", 0.5), ("adversary.scale", 2.0)]
+
+
+# Texts that must be refused, each with the line the error cites (None: no line).
+UNPRINTABLE = ["\x00", "\x07", "\x0b", "\x1b", "\x7f", "\x80", "\x9f", "\ufffe", "\uffff", "\ud800"]
+REFUSED_TEXTS = {
+    **{f"unprintable_{ord(c):04x}_in_value": (MINIMAL.replace("horizon: 40", f"horizon: 4{c}0"), None) for c in UNPRINTABLE},
+    **{f"unprintable_{ord(c):04x}_in_comment": ("# " + c + "\n" + MINIMAL, None) for c in UNPRINTABLE},
+    "unclosed_flow": (MINIMAL.replace("faulty_ids: [4]", "faulty_ids: [4"), 9),
+    "unclosed_quote": (MINIMAL.replace("xi: 4.0", "xi: '4.0"), 13),
+    "tab_indent": (MINIMAL + "extra:\n\tkey: 1\n", 14),
+    "bad_indent": (MINIMAL.replace("schedule: {kind: harmonic, eta0: 1.0}", "schedule:\n  kind: harmonic\n eta0: 1.0"), 11),
+    "two_documents": (MINIMAL + "---\nversion: 1\n", 13),
+    "unknown_alias": (MINIMAL.replace("xi: 4.0", "xi: *s"), 5),
+    "mapping_in_scalar": (MINIMAL.replace("n: 5", "n: a: 5"), 2),
+    "python_tag": (MINIMAL.replace("n: 5", "n: !!python/object:os.system x"), 2),
+    "bad_escape": (MINIMAL.replace("xi: 4.0", 'xi: "\\q"'), 5),
+    "sequence": ("- 1\n- 2\n", None),
+    "bad_value_on_known_line": (MINIMAL.replace("horizon: 40", "horizon: -4"), 7),
+    "unknown_nested_key": (MINIMAL.replace("eta0: 1.0}", "eta0: 1.0, p: 2, q: 3}"), 9),
+}
+
+
+class TestLoaders:
+    """The libyaml loader must refuse exactly what the pure-Python one refuses, citing the same lines."""
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("case", REFUSED_TEXTS)
+    def test_both_loaders_refuse_alike(self, monkeypatch, case):
+        text, line = REFUSED_TEXTS[case]
+        for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+            monkeypatch.setattr(byzgrad.scenario_io, "_LOADER", loader)
+            with pytest.raises(ConfigError) as refused:
+                parse_scenario_text(text)
+            assert refused.value.line == line, loader.__name__
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    def test_both_loaders_build_the_same_scenario(self, monkeypatch):
+        text = dump_scenario(build_template("margin_negative", seed=5))
+        loaded = []
+        for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+            monkeypatch.setattr(byzgrad.scenario_io, "_LOADER", loader)
+            loaded.append(parse_scenario_text(text))
+        assert loaded[0].digest == loaded[1].digest and loaded[0].effective == loaded[1].effective
 
 
 class TestOverrides:
