@@ -111,7 +111,7 @@ class _Check:
         return [self.number(v, f"{name}[{k}]", path) for k, v in enumerate(value)]
 
 
-_LOADER = yaml.SafeLoader  # refuses unprintable characters
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when built in; both refuse unprintable characters
 
 
 def read_scenario_mapping(text: str) -> tuple[dict, yaml.Node]:
