@@ -164,13 +164,11 @@ class CounterStream:
             site, j = np.divmod(np.arange(start, min(start + _SLICE_BLOCKS, len(table))), blocks)
             t, rest = np.divmod(site, per_round)
             a, b = np.divmod(rest, receivers)
-            words = (
-                (t + first).astype(np.uint64),
-                self._sender_words[a],
-                self._receiver_words[b],
-                np.zeros(len(t), dtype=np.uint64),
-            )
-            raw = np.stack(_philox(self.key, *_advance(words, (j + 1).astype(np.uint64))), axis=1)
+            counters = np.zeros((len(site), 4), dtype=np.uint64)
+            counters[:, 0] = t + first
+            counters[:, 1] = self._sender_words[a]
+            counters[:, 2] = self._receiver_words[b]
+            raw = philox_raw(*self.key, counters, j + 1)
             unit = (raw >> _SHIFT53) * (1.0 / 9007199254740992.0)
             draw = 4 * j[:, None] + np.arange(4)
             # one multiply, then one add, as numpy's uniform does
