@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -149,7 +150,8 @@ def _sweep_worker(args: tuple) -> dict:
     except MemoryError as exc:
         return {"point": label, "status": "out_of_memory", "error": str(exc)}
     except Exception as exc:  # a fault of the program, recorded so the other points and index.json survive it
-        return {"point": label, "status": "internal_error", "error": f"{type(exc).__name__}: {exc}"}
+        error = f"{type(exc).__name__}: {exc}"
+        return {"point": label, "status": "internal_error", "error": error, "traceback": traceback.format_exc()}
     return {
         "point": label,
         "status": "ok",

@@ -15,8 +15,12 @@ memory. Faulty messages are admitted by one vectorised check per round.
 
 Nothing about the schedule, the metrics stride, or the adversary's
 strategy can leak randomness across consumers: all draws come from
-substreams keyed by purpose and round, so a scenario (including its seed)
-maps to exactly one trajectory, bit for bit.
+substreams keyed by purpose and site, so a scenario (including its seed)
+maps to exactly one trajectory, bit for bit. The adversary's draws come
+from one CounterStream per run over (faulty sender, honest receiver)
+sites, with the bounds its strategy states; it computes a fill of whole
+rounds at a time in bulk, at most max(one round, 2048) sites, each value
+equal to the per-site substream's.
 
 Runs never refuse theoretically doomed configurations. A non-positive
 fault-tolerance margin or a failed redundancy check is reported as a

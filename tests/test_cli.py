@@ -573,6 +573,7 @@ class TestSweep:
         points = json.loads((out / "index.json").read_text())["points"]
         assert [p["status"] for p in points] == ["ok", "internal_error", "ok"]
         assert points[1]["error"] == "RuntimeError: unexpected state"
+        assert "in faulty_at_f3" in points[1]["traceback"]
         assert (out / "f=4" / "trace.csv").exists()
         captured = capsys.readouterr()
         assert "f=3: internal_error RuntimeError: unexpected state" in captured.out
