@@ -33,7 +33,7 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-_SHIFT53 = np.uint64(11)  # keeps the top 53 bits, as numpy's next_double does
+_SHIFT11 = np.uint64(11)  # keeps the top 53 bits, as numpy's next_double does
 
 _FILL_SITES = 2048  # sites per fill, unless one round alone has more
 _SLICE_BLOCKS = 2048  # Philox blocks per kernel call; bounds its temporaries
@@ -169,7 +169,7 @@ class CounterStream:
             counters[:, 1] = self._sender_words[a]
             counters[:, 2] = self._receiver_words[b]
             raw = philox_raw(*self.key, counters, j + 1)
-            unit = (raw >> _SHIFT53) * (1.0 / 9007199254740992.0)
+            unit = (raw >> _SHIFT11) * (1.0 / 9007199254740992.0)
             draw = 4 * j[:, None] + np.arange(4)
             # one multiply, then one add, as numpy's uniform does
             table[start : start + len(raw)] = self._low[draw] + self._span[draw] * unit

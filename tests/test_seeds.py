@@ -40,6 +40,10 @@ class TestSubstream:
         draws(first)  # consuming one stream must not shift the other
         assert np.array_equal(draws(second), expected_second)
 
+    def test_adjacent_rounds_overlap(self):
+        # numpy steps word 0, which also holds the round: draws 4-7 of round t are draws 0-3 of round t + 1
+        assert np.array_equal(substream(7, 2, 3, 5, 1).random(8)[4:], substream(7, 2, 4, 5, 1).random(4))
+
 
 UNIT = (np.full(8, -1.0), np.full(8, 1.0))  # the bounds `draws` uses
 
@@ -91,10 +95,6 @@ class TestPhiloxKernel:
         for row, counter in zip(got, counters):
             raw = np.random.Philox(counter=counter, key=np.array([7, PURPOSE_ADVERSARY], dtype=np.uint64))
             assert np.array_equal(row, raw.random_raw(8)[4:])
-
-    def test_substream_overlap_is_kept(self):
-        # numpy steps word 0, which also holds the round: draws 4-7 of round t are draws 0-3 of round t + 1
-        assert np.array_equal(substream(7, 2, 3, 5, 1).random(8)[4:], substream(7, 2, 4, 5, 1).random(4))
 
 
 class TestBulkDraws:
