@@ -119,11 +119,11 @@ class CounterStream:
 
     The draws are computed a fill at a time: from the round asked for,
     as many whole rounds as fit in `_FILL_SITES` sites (at least one,
-    never past the horizon). A fill holds max(one round, `_FILL_SITES`)
-    sites of k values rounded up to a multiple of 4, and the kernel's
-    temporaries are bounded by `_SLICE_BLOCKS` blocks whatever n, d and
-    the horizon are. `at` returns a read-only view of its fill, which a
-    later fill leaves as it is.
+    never past the horizon). A fill holds at most max(one round,
+    `_FILL_SITES`) sites of k values rounded up to a multiple of 4, and
+    the kernel's temporaries are bounded by `_SLICE_BLOCKS` blocks
+    whatever n, d and the horizon are. `at` returns a read-only view of
+    its fill, which a later fill leaves as it is.
     """
 
     def __init__(self, seed: int, purpose: int, senders, receivers, low, high, horizon: int):
