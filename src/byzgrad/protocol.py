@@ -35,7 +35,7 @@ in order: `random_in_box` d values in [-xi, xi], then d in [-zeta, zeta];
 `collude_target` with random estimates d in [-xi, xi]; the others none.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -54,13 +54,19 @@ ESTIMATE_MODES = ("target", "random_in_box")
 
 @dataclass(frozen=True)
 class ObservedRound:
-    """What an omniscient adversary sees before emitting in round t."""
+    """What an omniscient adversary sees before emitting in round t.
+
+    The cached properties are the values every message of the round
+    shares, each computed at most once per instance: a new round is a new
+    ObservedRound, which computes them afresh. The strategy-specific ones
+    read the parameters of `strategy`.
+    """
 
     estimates: np.ndarray  # (honest count, d), ordered by honest agent id
     gradients: np.ndarray  # (honest count, d), same order
     box: Hypercube
     zeta: float
-    _pulls: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    strategy: "AdversaryStrategy | None" = None  # the faulty senders' strategy
 
     @cached_property
     def estimate_mean(self) -> Point:
@@ -74,20 +80,32 @@ class ObservedRound:
     def estimate_median(self) -> Point:
         return np.median(self.estimates, axis=0)
 
-    def colluding_pull(self, target: Point) -> Point:
-        """(honest mean estimate - target) rescaled to norm zeta, or 0 at the target.
+    @cached_property
+    def flipped_gradient(self) -> Point:
+        """sign_flip's gradient: the negated honest mean gradient."""
+        return -self.gradient_mean
 
-        Computed once per target: every colluding message of the round
-        carries the same pull.
-        """
-        key = target.tobytes()
-        pull = self._pulls.get(key)
-        if pull is None:
-            pull = self.estimate_mean - target
-            norm = float(np.linalg.norm(pull))
-            pull = (self.zeta / norm) * pull if norm > 0.0 else np.zeros(self.box.d)
-            self._pulls[key] = pull
-        return pull
+    @cached_property
+    def inflated_gradient(self) -> Point:
+        """norm_inflate's gradient: the honest mean gradient times the strategy's scale."""
+        return self.strategy.scale * self.gradient_mean
+
+    @cached_property
+    def extreme_corner(self) -> Point:
+        """coord_extreme's estimate: the box corner farthest per coordinate from the honest median."""
+        # the corner with median <= 0 per coordinate maximizes |corner - median|
+        return np.where(self.estimate_median <= 0.0, self.box.xi, -self.box.xi)
+
+    @cached_property
+    def zero_gradient(self) -> Point:
+        return np.zeros(self.box.d)
+
+    @cached_property
+    def colluding_pull(self) -> Point:
+        """(honest mean estimate - the strategy's target) rescaled to norm zeta, or 0 at the target."""
+        pull = self.estimate_mean - self.strategy.target
+        norm = float(np.linalg.norm(pull))
+        return (self.zeta / norm) * pull if norm > 0.0 else self.zero_gradient
 
 
 class RoundOutcome(NamedTuple):
@@ -176,31 +194,36 @@ def adversary_emit(
 
     `stream` is the run's CounterStream of the adversary purpose, built
     with this strategy's `draw_bounds`; randomized strategies take their
-    values from it at (round_, sender, receiver).
+    values from it at (round_, sender, receiver). Values that every
+    message of the round shares come from `observed`'s cached properties,
+    read with `strategy`'s parameters; the same array may be returned for
+    many messages.
     """
-    box = observed.box
+    if observed.strategy is not strategy:
+        # the shared values are the strategy's own
+        observed = replace(observed, strategy=strategy)
     kind = strategy.kind
 
     if kind == "sign_flip":
-        return observed.estimate_mean, -observed.gradient_mean
+        return observed.estimate_mean, observed.flipped_gradient
 
     if kind == "norm_inflate":
-        return observed.estimate_mean, strategy.scale * observed.gradient_mean
+        return observed.estimate_mean, observed.inflated_gradient
 
     if kind == "coord_extreme":
-        # the corner with median <= 0 per coordinate maximizes |corner - median|
-        estimate = np.where(observed.estimate_median <= 0.0, box.xi, -box.xi)
-        return estimate, np.zeros(box.d)
+        return observed.extreme_corner, observed.zero_gradient
 
+    # every collude_target message reads its site, even one that draws nothing,
+    # so perfbench's closed-form count of `at` calls holds for both estimate modes
     draws = stream.at(round_, sender, receiver)
 
     if kind == "random_in_box":
-        return draws[: box.d], draws[box.d :]
+        d = observed.box.d
+        return draws[:d], draws[d:]
 
     # collude_target
-    grad = observed.colluding_pull(strategy.target)
     estimate = draws if strategy.estimates == "random_in_box" else strategy.target
-    return estimate, grad
+    return estimate, observed.colluding_pull
 
 
 def honest_round(

@@ -122,15 +122,17 @@ class CounterStream:
     never past the horizon). A fill holds at most max(one round,
     `_FILL_SITES`) sites of k values rounded up to a multiple of 4, and
     the kernel's temporaries are bounded by `_SLICE_BLOCKS` blocks
-    whatever n, d and the horizon are. `at` returns a read-only view of
-    its fill, which a later fill leaves as it is.
+    whatever n, d and the horizon are. A fill also keeps one read-only
+    view of each site's k values, so `at` is one flat lookup; a view
+    outlives its fill, which a later fill leaves as it is.
     """
 
     def __init__(self, seed: int, purpose: int, senders, receivers, low, high, horizon: int):
         self.key = (seed & _MASK64, purpose & _MASK64)
         self.horizon = horizon
-        self._senders = {s: a for a, s in enumerate(senders)}
         self._receivers = {r: b for b, r in enumerate(receivers)}
+        # a site's row within its round is its sender's offset plus its receiver's index
+        self._senders = {s: a * len(self._receivers) for a, s in enumerate(senders)}
         self._sender_words = np.fromiter(self._senders, dtype=np.uint64, count=len(self._senders))
         self._receiver_words = np.fromiter(self._receivers, dtype=np.uint64, count=len(self._receivers))
         low = np.asarray(low, dtype=np.float64).reshape(-1)
@@ -141,21 +143,23 @@ class CounterStream:
         self._span = np.zeros(width)
         self._low[: self._k] = low
         self._span[: self._k] = span
+        self._width = width
+        self._per_round = len(self._senders) * len(self._receivers)
         self._first = 0
-        self._table = np.empty((0, len(self._senders), len(self._receivers), width))
+        self._rows: list[np.ndarray] = []  # one read-only view of k draws per site of the fill
 
     def at(self, round_: int, sender: int, receiver: int) -> np.ndarray:
-        i = round_ - self._first
-        if not 0 <= i < len(self._table):
+        row = (round_ - self._first) * self._per_round + self._senders[sender] + self._receivers[receiver]
+        if not 0 <= row < len(self._rows):
             self._fill(round_)
-            i = 0
-        return self._table[i, self._senders[sender], self._receivers[receiver], : self._k]
+            row = self._senders[sender] + self._receivers[receiver]
+        return self._rows[row]
 
     def _fill(self, first: int) -> None:
         if not 0 <= first <= self.horizon:
             raise ValueError(f"round {first} lies outside 0..{self.horizon}")
-        _, senders, receivers, width = self._table.shape
-        per_round = senders * receivers
+        self._rows = []  # the old fill's views go before the new fill's are made
+        receivers, width, per_round = len(self._receivers), self._width, self._per_round
         rounds = min(max(1, _FILL_SITES // max(1, per_round)), self.horizon + 1 - first)
         blocks = width // 4
         table = np.empty((rounds * per_round * blocks, 4))
@@ -174,5 +178,5 @@ class CounterStream:
             # one multiply, then one add, as numpy's uniform does
             table[start : start + len(raw)] = self._low[draw] + self._span[draw] * unit
         table.flags.writeable = False
-        self._table = table.reshape(rounds, senders, receivers, width)
+        self._rows = list(table.reshape(rounds * per_round, width)[:, : self._k])
         self._first = first

@@ -8,10 +8,15 @@ d) arrays ordered by agent id: the estimates entering the round, their
 gradients, the next estimates and the filtered gradients; the two estimate
 arrays swap at the end of each round. Messages live in one preallocated
 (honest, n, d) inbox per quantity: row b is the complete inbox of the
-b-th honest receiver, indexed by sender id. Each round writes the honest
-rows once for every receiver and each faulty message once, at (receiver,
-sender), where its receiver reads it; the inbox costs O(honest * n * d)
-memory. Faulty messages are admitted by one vectorised check per round.
+b-th honest receiver, indexed by sender id; the two take 2 * h * n * d
+floats for h honest agents. Each round writes the honest rows once for
+every receiver. The q * h faulty messages of a round (q faulty senders)
+are emitted one call each, stacked into one (q * h, 2, d) block of
+2 * q * h * d floats, admitted by one vectorised check over the block in
+(sender, receiver) order, and written at (receiver, sender), where each
+receiver reads its own, by one strided assignment per inbox. Values that
+every faulty message of a round shares (means, the colluding pull, a
+corner) are computed once per round, by the round's ObservedRound.
 
 Nothing about the schedule, the metrics stride, or the adversary's
 strategy can leak randomness across consumers: all draws come from
@@ -165,32 +170,42 @@ def honest_minimizer(scenario: Scenario) -> Point:
     return x_star
 
 
-def _admit(
-    t: int,
-    estimates: np.ndarray,
-    gradients: np.ndarray,
-    faulty_ids: list[int],
-    honest_ids: list[int],
-    count: int | None = None,
-) -> None:
+def _message_block(t: int, messages: list, d: int, sites: list[tuple[int, int]]) -> np.ndarray:
+    """The round's faulty messages as one (q*h, 2, d) block, in (sender, receiver) order.
+
+    `messages` alternates estimate and gradient, message k being the one
+    sent over `sites[k]`, a (sender, receiver) pair. When a part is not
+    of shape (d,), the messages before it are admitted first, so the run
+    aborts on the first faulty message in order.
+    """
+    try:
+        block = np.array(messages, dtype=np.float64)
+    except (ValueError, TypeError):  # ragged, or a part that is not numeric
+        block = None
+    if block is not None and block.shape == (len(messages), d):
+        return block.reshape(-1, 2, d)
+    for k, (sender, receiver) in enumerate(sites):
+        if np.shape(messages[2 * k]) != (d,) or np.shape(messages[2 * k + 1]) != (d,):
+            _admit(t, np.array(messages[: 2 * k], dtype=np.float64).reshape(-1, 2, d), sites)
+            raise SimulationAbort(t, f"message {sender}->{receiver} has wrong dimension")
+    # every part has shape (d,), so converting them raises again, naming the value
+    return np.array(messages, dtype=np.float64).reshape(-1, 2, d)
+
+
+def _admit(t: int, block: np.ndarray, sites: list[tuple[int, int]]) -> None:
     """Abort on the first faulty message with a coordinate beyond the admission bound.
 
-    `estimates` and `gradients` are the (honest, n, d) inboxes, row b the
-    inbox of receiver `honest_ids[b]` indexed by sender id; only their
-    faulty columns are read. Messages are taken in (sender, receiver)
-    order, the estimate before the gradient, and only the first `count`
-    are checked when it is given.
+    `block` holds the round's messages as `_message_block` gives them,
+    or the first of them; they are judged in that (sender, receiver)
+    order, the estimate before the gradient.
     """
     # NaN fails the <= comparison, so one test covers both conditions
-    est_ok, grad_ok = (
-        (np.abs(inbox[:, faulty_ids]) <= MESSAGE_COORD_LIMIT).all(axis=2).T.ravel()[:count]
-        for inbox in (estimates, gradients)
-    )
-    bad = ~(est_ok & grad_ok)
+    ok = (np.abs(block) <= MESSAGE_COORD_LIMIT).all(axis=2)
+    bad = ~ok.all(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
-        sender, receiver = faulty_ids[k // len(honest_ids)], honest_ids[k % len(honest_ids)]
-        name = "gradient" if est_ok[k] else "estimate"
+        sender, receiver = sites[k]
+        name = "gradient" if ok[k, 0] else "estimate"
         raise SimulationAbort(
             t, f"{name} from agent {sender} to {receiver} exceeds the admission bound {MESSAGE_COORD_LIMIT:g}"
         )
@@ -241,6 +256,8 @@ def run(scenario: Scenario) -> RunResult:
     )
     d = scenario.d
     honest_rows = np.array(honest_ids, dtype=np.intp)
+    faulty_rows = np.array(faulty_ids, dtype=np.intp)
+    sites = [(s, r) for s in faulty_ids for r in honest_ids]  # every faulty message, in admission order
     if isinstance(scenario.init, np.ndarray):
         estimates = scenario.init[honest_rows]
     else:
@@ -263,19 +280,21 @@ def run(scenario: Scenario) -> RunResult:
         inbox_est[:, honest_rows] = estimates
         inbox_grad[:, honest_rows] = gradients
 
-        # phase 1: materialize every faulty message of round t
-        observed = ObservedRound(estimates, gradients, box, constants.zeta)
-        for a, s in enumerate(faulty_ids):
-            for b, r in enumerate(honest_ids):
+        # phase 1: materialize every faulty message of round t, then admit
+        # and route them as one block
+        if sites:
+            observed = ObservedRound(estimates, gradients, box, constants.zeta, scenario.adversary)
+            messages = []
+            for s, r in sites:
                 est, grad = adversary_emit(scenario.adversary, t, s, r, observed, stream=adversary_stream)
-                # a wrong-shape message must not broadcast into its slot;
-                # earlier messages are judged first, keeping the report in order
-                if np.shape(est) != (d,) or np.shape(grad) != (d,):
-                    _admit(t, inbox_est, inbox_grad, faulty_ids, honest_ids, count=a * len(honest_ids) + b)
-                    raise SimulationAbort(t, f"message {s}->{r} has wrong dimension")
-                inbox_est[b, s] = est
-                inbox_grad[b, s] = grad
-        _admit(t, inbox_est, inbox_grad, faulty_ids, honest_ids)
+                messages.append(est)
+                messages.append(grad)
+            block = _message_block(t, messages, d, sites)
+            _admit(t, block, sites)
+            # (sender, receiver) order to the inboxes' (receiver, sender)
+            block = block.reshape(len(faulty_ids), len(honest_ids), 2, d).swapaxes(0, 1)
+            inbox_est[:, faulty_rows] = block[:, :, 0]
+            inbox_grad[:, faulty_rows] = block[:, :, 1]
 
         # phase 2: every honest agent updates on its complete inbox; a step
         # that overflows is aborted by project_box's finiteness check, not warned about

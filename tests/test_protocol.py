@@ -303,3 +303,70 @@ class TestAdversaries:
             AdversaryStrategy(kind="collude_target")
         with pytest.raises(ValueError):
             AdversaryStrategy(kind="collude_target", target=np.zeros(2), estimates="bogus")
+
+
+class TestSharedRoundValues:
+    ESTIMATES = np.array([[1.0, -3.0], [2.0, -1.0], [4.0, -2.0]])
+    GRADIENTS = np.array([[0.5, 1.0], [1.5, -2.0], [-0.5, 4.0]])
+    XI, ZETA = 5.0, 6.0
+    TARGET = np.array([-2.0, 5.0])
+
+    def observed(self, strategy, estimates=ESTIMATES):
+        return ObservedRound(estimates, self.GRADIENTS, Hypercube(self.XI, 2), self.ZETA, strategy)
+
+    def round_messages(self, strategy, observed):
+        """Every message of round 4, from senders 8 and 9 to receivers 0..7."""
+        draws = stream(0, strategy, observed)
+        return [adversary_emit(strategy, 4, s, r, observed, draws) for s in (8, 9) for r in range(8)]
+
+    def pull(self, estimates):
+        toward = estimates.mean(axis=0) - self.TARGET
+        return self.ZETA * toward / np.linalg.norm(toward)
+
+    @pytest.mark.parametrize(
+        "strategy, closed_form",
+        [
+            (AdversaryStrategy(kind="sign_flip"), lambda c: (c.ESTIMATES.mean(axis=0), -c.GRADIENTS.mean(axis=0))),
+            (
+                AdversaryStrategy(kind="norm_inflate", scale=-3.5),
+                lambda c: (c.ESTIMATES.mean(axis=0), -3.5 * c.GRADIENTS.mean(axis=0)),
+            ),
+            # medians (2, -2): the farthest corner is (-xi, xi)
+            (AdversaryStrategy(kind="coord_extreme"), lambda c: (np.array([-c.XI, c.XI]), np.zeros(2))),
+            (
+                AdversaryStrategy(kind="collude_target", target=TARGET),
+                lambda c: (c.TARGET, c.pull(c.ESTIMATES)),
+            ),
+        ],
+        ids=["sign_flip", "norm_inflate", "coord_extreme", "collude_target"],
+    )
+    def test_every_message_of_a_round_carries_the_closed_form(self, strategy, closed_form):
+        messages = self.round_messages(strategy, self.observed(strategy))
+        estimate, grad = closed_form(self)
+        for got_estimate, got_grad in messages:
+            np.testing.assert_allclose(got_estimate, estimate, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(got_grad, grad, rtol=1e-15, atol=0.0)
+        # computed once for the round, not once per message
+        assert all(got_grad is messages[0][1] for _, got_grad in messages)
+
+    def test_colluding_pull_of_random_estimates_is_shared_too(self):
+        strategy = AdversaryStrategy(kind="collude_target", target=self.TARGET, estimates="random_in_box")
+        messages = self.round_messages(strategy, self.observed(strategy))
+        assert len({got_estimate.tobytes() for got_estimate, _ in messages}) == len(messages)
+        for _, got_grad in messages:
+            np.testing.assert_allclose(got_grad, self.pull(self.ESTIMATES), rtol=1e-15, atol=0.0)
+
+    def test_a_new_round_recomputes_the_pull(self):
+        strategy = AdversaryStrategy(kind="collude_target", target=self.TARGET)
+        first = self.round_messages(strategy, self.observed(strategy))[0][1].copy()
+        moved = self.ESTIMATES + np.array([3.0, -4.0])
+        second = self.round_messages(strategy, self.observed(strategy, moved))[0][1]
+        np.testing.assert_allclose(first, self.pull(self.ESTIMATES), rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(second, self.pull(moved), rtol=1e-15, atol=0.0)
+        assert not np.allclose(first, second)
+
+    def test_a_round_observed_without_the_strategy_reads_its_parameters(self):
+        strategy = AdversaryStrategy(kind="norm_inflate", scale=2.0)
+        unbound = make_observed(self.ESTIMATES, self.GRADIENTS, self.XI, self.ZETA)
+        _, grad = adversary_emit(strategy, 0, 9, 1, unbound, stream(0, strategy, unbound))
+        np.testing.assert_allclose(grad, 2.0 * self.GRADIENTS.mean(axis=0), rtol=1e-15, atol=0.0)

@@ -285,6 +285,47 @@ class TestInboxRouting:
             state = {me: next_estimate for me, _, _, next_estimate in updates}
 
 
+class TestSharedMessages:
+    @pytest.mark.parametrize(
+        "adversary",
+        [
+            AdversaryStrategy(kind="sign_flip"),
+            AdversaryStrategy(kind="norm_inflate", scale=25.0),
+            AdversaryStrategy(kind="coord_extreme"),
+        ],
+        ids=["sign_flip", "norm_inflate", "coord_extreme"],
+    )
+    def test_changing_a_returned_array_after_the_round_leaves_the_inbox_unchanged(self, monkeypatch, adversary):
+        # every message of a round shares one array per value; the inbox must hold copies
+        scenario = redundant_scenario(horizon=5, adversary=adversary)
+        expected = run(scenario)
+        returned = {}
+        real_emit, real_round = byzgrad.simulator.adversary_emit, byzgrad.simulator.honest_round
+
+        def emit(strategy, t, sender, receiver, observed, stream):
+            message = real_emit(strategy, t, sender, receiver, observed, stream)
+            returned[t, sender, receiver] = (message, tuple(np.array(part) for part in message))
+            return message
+
+        def scribbling(me, estimates, gradients, eta_t, f, box):
+            for message, _ in returned.values():
+                for part in message:
+                    part[...] = 99.0
+            latest = max(t for t, _, _ in returned)
+            for (t, sender, receiver), (_, copies) in returned.items():
+                if t == latest and receiver == me:
+                    assert np.array_equal(estimates[sender], copies[0])
+                    assert np.array_equal(gradients[sender], copies[1])
+            return real_round(me, estimates, gradients, eta_t, f, box)
+
+        monkeypatch.setattr(byzgrad.simulator, "adversary_emit", emit)
+        monkeypatch.setattr(byzgrad.simulator, "honest_round", scribbling)
+        result = run(scenario)
+        assert result.trace == expected.trace
+        for i, estimate in expected.final_estimates.items():
+            assert np.array_equal(result.final_estimates[i], estimate)
+
+
 class TestAdversaryMatrix:
     @pytest.mark.parametrize(
         "adversary",
@@ -354,12 +395,31 @@ class TestAdmissionGate:
         [
             (np.zeros(4), np.zeros(3)),
             (np.zeros(3), np.float64(0.5)),
+            (np.zeros((1, 3)), np.zeros(3)),
+            # the right total size, which a flat concatenation of the round would accept
+            (np.zeros(4), np.zeros(2)),
+            (np.float64(0.5), np.zeros(3)),
         ],
-        ids=["estimate_of_d_plus_1", "scalar_gradient"],
+        ids=[
+            "estimate_of_d_plus_1", "scalar_gradient", "estimate_of_1_by_d", "d_plus_1_with_d_minus_1", "scalar_estimate"
+        ],
     )
     def test_wrong_shape_aborts(self, monkeypatch, bad):
         with pytest.raises(SimulationAbort, match="round 1: message 8->2 has wrong dimension"):
             self.run_with_messages(monkeypatch, {(1, 8, 2): bad})
+
+    def test_message_of_plain_lists_is_admitted(self, monkeypatch):
+        message = ([0.25, -0.5, 1.0], [2.0, 0.0, -3.0])
+        inboxes = {}
+        real = byzgrad.simulator.honest_round
+
+        def recording(me, estimates, gradients, eta_t, f, box):
+            inboxes.setdefault(me, (np.array(estimates[8]), np.array(gradients[8])))
+            return real(me, estimates, gradients, eta_t, f, box)
+
+        monkeypatch.setattr(byzgrad.simulator, "honest_round", recording)
+        self.run_with_messages(monkeypatch, {(0, 8, 2): message})
+        assert np.array_equal(inboxes[2][0], message[0]) and np.array_equal(inboxes[2][1], message[1])
 
     def test_first_bad_message_in_sender_receiver_order_is_reported(self, monkeypatch):
         huge = np.full(3, 1e13)
