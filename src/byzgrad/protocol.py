@@ -35,7 +35,7 @@ in order: `random_in_box` d values in [-xi, xi], then d in [-zeta, zeta];
 `collude_target` with random estimates d in [-xi, xi]; the others none.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -56,17 +56,16 @@ ESTIMATE_MODES = ("target", "random_in_box")
 class ObservedRound:
     """What an omniscient adversary sees before emitting in round t.
 
-    The cached properties are the values every message of the round
+    The cached properties are values that every message of the round
     shares, each computed at most once per instance: a new round is a new
-    ObservedRound, which computes them afresh. The strategy-specific ones
-    read the parameters of `strategy`.
+    ObservedRound, which computes them afresh.
     """
 
     estimates: np.ndarray  # (honest count, d), ordered by honest agent id
     gradients: np.ndarray  # (honest count, d), same order
     box: Hypercube
     zeta: float
-    strategy: "AdversaryStrategy | None" = None  # the faulty senders' strategy
+    strategy: "AdversaryStrategy"  # the faulty senders' strategy, whose messages the round serves
 
     @cached_property
     def estimate_mean(self) -> Point:
@@ -81,31 +80,11 @@ class ObservedRound:
         return np.median(self.estimates, axis=0)
 
     @cached_property
-    def flipped_gradient(self) -> Point:
-        """sign_flip's gradient: the negated honest mean gradient."""
-        return -self.gradient_mean
-
-    @cached_property
-    def inflated_gradient(self) -> Point:
-        """norm_inflate's gradient: the honest mean gradient times the strategy's scale."""
-        return self.strategy.scale * self.gradient_mean
-
-    @cached_property
-    def extreme_corner(self) -> Point:
-        """coord_extreme's estimate: the box corner farthest per coordinate from the honest median."""
-        # the corner with median <= 0 per coordinate maximizes |corner - median|
-        return np.where(self.estimate_median <= 0.0, self.box.xi, -self.box.xi)
-
-    @cached_property
-    def zero_gradient(self) -> Point:
-        return np.zeros(self.box.d)
-
-    @cached_property
     def colluding_pull(self) -> Point:
         """(honest mean estimate - the strategy's target) rescaled to norm zeta, or 0 at the target."""
         pull = self.estimate_mean - self.strategy.target
         norm = float(np.linalg.norm(pull))
-        return (self.zeta / norm) * pull if norm > 0.0 else self.zero_gradient
+        return (self.zeta / norm) * pull if norm > 0.0 else np.zeros(self.box.d)
 
 
 class RoundOutcome(NamedTuple):
@@ -168,7 +147,10 @@ class AdversaryStrategy:
         if self.kind == "collude_target":
             if self.target is None:
                 raise ValueError("collude_target needs a target point")
-            object.__setattr__(self, "target", as_point(self.target))
+            # a read-only copy: every colluding message may carry this array as its estimate
+            target = as_point(self.target).copy()
+            target.flags.writeable = False
+            object.__setattr__(self, "target", target)
             if self.estimates not in ESTIMATE_MODES:
                 raise ValueError(f"estimates mode must be one of {ESTIMATE_MODES}")
 
@@ -194,32 +176,27 @@ def adversary_emit(
 
     `stream` is the run's CounterStream of the adversary purpose, built
     with this strategy's `draw_bounds`; randomized strategies take their
-    values from it at (round_, sender, receiver). Values that every
-    message of the round shares come from `observed`'s cached properties,
-    read with `strategy`'s parameters; the same array may be returned for
-    many messages.
+    values from it at (round_, sender, receiver). `observed` must be
+    observed for `strategy`: a colluding message carries its cached pull.
     """
-    if observed.strategy is not strategy:
-        # the shared values are the strategy's own
-        observed = replace(observed, strategy=strategy)
+    box = observed.box
     kind = strategy.kind
 
     if kind == "sign_flip":
-        return observed.estimate_mean, observed.flipped_gradient
+        return observed.estimate_mean, -observed.gradient_mean
 
     if kind == "norm_inflate":
-        return observed.estimate_mean, observed.inflated_gradient
+        return observed.estimate_mean, strategy.scale * observed.gradient_mean
 
     if kind == "coord_extreme":
-        return observed.extreme_corner, observed.zero_gradient
+        # the corner with median <= 0 per coordinate maximizes |corner - median|
+        estimate = np.where(observed.estimate_median <= 0.0, box.xi, -box.xi)
+        return estimate, np.zeros(box.d)
 
-    # every collude_target message reads its site, even one that draws nothing,
-    # so perfbench's closed-form count of `at` calls holds for both estimate modes
     draws = stream.at(round_, sender, receiver)
 
     if kind == "random_in_box":
-        d = observed.box.d
-        return draws[:d], draws[d:]
+        return draws[: box.d], draws[box.d :]
 
     # collude_target
     estimate = draws if strategy.estimates == "random_in_box" else strategy.target

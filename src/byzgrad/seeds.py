@@ -122,9 +122,8 @@ class CounterStream:
     never past the horizon). A fill holds at most max(one round,
     `_FILL_SITES`) sites of k values rounded up to a multiple of 4, and
     the kernel's temporaries are bounded by `_SLICE_BLOCKS` blocks
-    whatever n, d and the horizon are. A fill also keeps one read-only
-    view of each site's k values, so `at` is one flat lookup; a view
-    outlives its fill, which a later fill leaves as it is.
+    whatever n, d and the horizon are. `at` returns a read-only view of
+    its fill, which a later fill leaves as it is.
     """
 
     def __init__(self, seed: int, purpose: int, senders, receivers, low, high, horizon: int):
@@ -146,19 +145,18 @@ class CounterStream:
         self._width = width
         self._per_round = len(self._senders) * len(self._receivers)
         self._first = 0
-        self._rows: list[np.ndarray] = []  # one read-only view of k draws per site of the fill
+        self._flat = np.empty((0, self._k))  # the fill, one row of k draws per site
 
     def at(self, round_: int, sender: int, receiver: int) -> np.ndarray:
         row = (round_ - self._first) * self._per_round + self._senders[sender] + self._receivers[receiver]
-        if not 0 <= row < len(self._rows):
+        if not 0 <= row < len(self._flat):
             self._fill(round_)
             row = self._senders[sender] + self._receivers[receiver]
-        return self._rows[row]
+        return self._flat[row]
 
     def _fill(self, first: int) -> None:
         if not 0 <= first <= self.horizon:
             raise ValueError(f"round {first} lies outside 0..{self.horizon}")
-        self._rows = []  # the old fill's views go before the new fill's are made
         receivers, width, per_round = len(self._receivers), self._width, self._per_round
         rounds = min(max(1, _FILL_SITES // max(1, per_round)), self.horizon + 1 - first)
         blocks = width // 4
@@ -178,5 +176,5 @@ class CounterStream:
             # one multiply, then one add, as numpy's uniform does
             table[start : start + len(raw)] = self._low[draw] + self._span[draw] * unit
         table.flags.writeable = False
-        self._rows = list(table.reshape(rounds * per_round, width)[:, : self._k])
+        self._flat = table.reshape(rounds * per_round, width)[:, : self._k]
         self._first = first

@@ -15,8 +15,8 @@ are emitted one call each, stacked into one (q * h, 2, d) block of
 2 * q * h * d floats, admitted by one vectorised check over the block in
 (sender, receiver) order, and written at (receiver, sender), where each
 receiver reads its own, by one strided assignment per inbox. Values that
-every faulty message of a round shares (means, the colluding pull, a
-corner) are computed once per round, by the round's ObservedRound.
+every faulty message of a round shares (the honest means and median, the
+colluding pull) are computed once per round, by the round's ObservedRound.
 
 Nothing about the schedule, the metrics stride, or the adversary's
 strategy can leak randomness across consumers: all draws come from
@@ -170,34 +170,35 @@ def honest_minimizer(scenario: Scenario) -> Point:
     return x_star
 
 
-def _message_block(t: int, messages: list, d: int, sites: list[tuple[int, int]]) -> np.ndarray:
-    """The round's faulty messages as one (q*h, 2, d) block, in (sender, receiver) order.
+def _message_block(messages: list, d: int) -> tuple[np.ndarray, int | None]:
+    """The round's faulty messages as one (q*h, 2, d) block, and the first of wrong shape.
 
-    `messages` alternates estimate and gradient, message k being the one
-    sent over `sites[k]`, a (sender, receiver) pair. When a part is not
-    of shape (d,), the messages before it are admitted first, so the run
-    aborts on the first faulty message in order.
+    `messages` alternates estimate and gradient, in (sender, receiver)
+    order. When a part is not of shape (d,), the block holds only the
+    messages before its message, and that message's index comes second;
+    otherwise the second is None.
     """
     try:
         block = np.array(messages, dtype=np.float64)
-    except (ValueError, TypeError):  # ragged, or a part that is not numeric
-        block = None
-    if block is not None and block.shape == (len(messages), d):
-        return block.reshape(-1, 2, d)
-    for k, (sender, receiver) in enumerate(sites):
-        if np.shape(messages[2 * k]) != (d,) or np.shape(messages[2 * k + 1]) != (d,):
-            _admit(t, np.array(messages[: 2 * k], dtype=np.float64).reshape(-1, 2, d), sites)
-            raise SimulationAbort(t, f"message {sender}->{receiver} has wrong dimension")
-    # every part has shape (d,), so converting them raises again, naming the value
-    return np.array(messages, dtype=np.float64).reshape(-1, 2, d)
+    except (ValueError, TypeError) as error:  # ragged, or a part that is not numeric
+        failure = error
+    else:
+        if block.shape == (len(messages), d):
+            return block.reshape(-1, 2, d), None
+        failure = None
+    for k in range(0, len(messages), 2):
+        if np.shape(messages[k]) != (d,) or np.shape(messages[k + 1]) != (d,):
+            return np.array(messages[:k], dtype=np.float64).reshape(-1, 2, d), k // 2
+    # every part has shape (d,), so the conversion raised: a value is not numeric
+    raise failure
 
 
 def _admit(t: int, block: np.ndarray, sites: list[tuple[int, int]]) -> None:
     """Abort on the first faulty message with a coordinate beyond the admission bound.
 
     `block` holds the round's messages as `_message_block` gives them,
-    or the first of them; they are judged in that (sender, receiver)
-    order, the estimate before the gradient.
+    message k sent over `sites[k]`, a (sender, receiver) pair; they are
+    judged in that order, the estimate before the gradient.
     """
     # NaN fails the <= comparison, so one test covers both conditions
     ok = (np.abs(block) <= MESSAGE_COORD_LIMIT).all(axis=2)
@@ -289,8 +290,12 @@ def run(scenario: Scenario) -> RunResult:
                 est, grad = adversary_emit(scenario.adversary, t, s, r, observed, stream=adversary_stream)
                 messages.append(est)
                 messages.append(grad)
-            block = _message_block(t, messages, d, sites)
+            block, wrong = _message_block(messages, d)
+            # earlier messages are judged first, keeping the report in order
             _admit(t, block, sites)
+            if wrong is not None:
+                s, r = sites[wrong]
+                raise SimulationAbort(t, f"message {s}->{r} has wrong dimension")
             # (sender, receiver) order to the inboxes' (receiver, sender)
             block = block.reshape(len(faulty_ids), len(honest_ids), 2, d).swapaxes(0, 1)
             inbox_est[:, faulty_rows] = block[:, :, 0]

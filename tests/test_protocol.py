@@ -20,9 +20,9 @@ def zero_cost(d):
     return QuadraticCost(A=np.zeros((d, d)), b=np.zeros(d))
 
 
-def make_observed(estimates, gradients, xi, zeta):
+def make_observed(estimates, gradients, xi, zeta, strategy):
     est = np.asarray(estimates, dtype=float)
-    return ObservedRound(est, np.asarray(gradients, dtype=float), Hypercube(xi, est.shape[1]), zeta)
+    return ObservedRound(est, np.asarray(gradients, dtype=float), Hypercube(xi, est.shape[1]), zeta, strategy)
 
 
 def stream(seed, strategy, observed):
@@ -220,29 +220,29 @@ class TestHonestStep:
 
 class TestAdversaries:
     def test_sign_flip_negates_mean_gradient(self):
-        observed = make_observed([[0.0, 0.0], [2.0, 2.0]], [[1.0, -2.0], [1.0, -2.0]], 5.0, 10.0)
         strategy = AdversaryStrategy(kind="sign_flip")
+        observed = make_observed([[0.0, 0.0], [2.0, 2.0]], [[1.0, -2.0], [1.0, -2.0]], 5.0, 10.0, strategy)
         estimate, grad = adversary_emit(strategy, 0, 9, 1, observed, stream(0, strategy, observed))
         assert np.array_equal(grad, [-1.0, 2.0])
         assert np.array_equal(estimate, [1.0, 1.0])
 
     def test_norm_inflate_scales(self):
-        observed = make_observed([[0.0]], [[1.0]], 5.0, 10.0)
         strategy = AdversaryStrategy(kind="norm_inflate", scale=10.0)
+        observed = make_observed([[0.0]], [[1.0]], 5.0, 10.0, strategy)
         estimate, grad = adversary_emit(strategy, 3, 9, 0, observed, stream(0, strategy, observed))
         assert np.linalg.norm(grad) == pytest.approx(10.0, abs=1e-12)
 
     def test_coord_extreme_picks_far_corner(self):
-        observed = make_observed([[1.0, -3.0], [2.0, -1.0], [3.0, -2.0]], np.zeros((3, 2)), 5.0, 1.0)
         strategy = AdversaryStrategy(kind="coord_extreme")
+        observed = make_observed([[1.0, -3.0], [2.0, -1.0], [3.0, -2.0]], np.zeros((3, 2)), 5.0, 1.0, strategy)
         estimate, grad = adversary_emit(strategy, 0, 9, 0, observed, stream(0, strategy, observed))
         # medians (2, -2): farthest corners are -5 and +5
         assert np.array_equal(estimate, [-5.0, 5.0])
         assert np.array_equal(grad, [0.0, 0.0])
 
     def test_random_in_box_replays_identically(self):
-        observed = make_observed([[0.5, 0.5]], [[1.0, 1.0]], 2.0, 7.0)
         strategy = AdversaryStrategy(kind="random_in_box")
+        observed = make_observed([[0.5, 0.5]], [[1.0, 1.0]], 2.0, 7.0, strategy)
         first_estimate, first_grad = adversary_emit(strategy, 11, 8, 3, observed, stream(99, strategy, observed))
         second_estimate, second_grad = adversary_emit(strategy, 11, 8, 3, observed, stream(99, strategy, observed))
         assert np.array_equal(first_estimate, second_estimate)
@@ -251,8 +251,8 @@ class TestAdversaries:
         assert (np.abs(first_grad) <= 7.0).all()
 
     def test_random_in_box_differs_across_receivers_and_rounds(self):
-        observed = make_observed([[0.0]], [[0.0]], 1.0, 1.0)
         strategy = AdversaryStrategy(kind="random_in_box")
+        observed = make_observed([[0.0]], [[0.0]], 1.0, 1.0, strategy)
         a, _ = adversary_emit(strategy, 0, 9, 1, observed, stream(1, strategy, observed))
         b, _ = adversary_emit(strategy, 0, 9, 2, observed, stream(1, strategy, observed))
         c, _ = adversary_emit(strategy, 1, 9, 1, observed, stream(1, strategy, observed))
@@ -260,8 +260,8 @@ class TestAdversaries:
         assert not np.array_equal(a, c)
 
     def test_stream_matches_fresh_generators(self):
-        observed = make_observed([[0.25, -0.5]], [[0.0, 0.0]], 3.0, 4.0)
         strategy = AdversaryStrategy(kind="random_in_box")
+        observed = make_observed([[0.25, -0.5]], [[0.0, 0.0]], 3.0, 4.0, strategy)
         estimate, grad = adversary_emit(strategy, 7, 6, 2, observed, stream(5, strategy, observed))
         # the strategy draws its estimate, then its gradient, from the (7, 6, 2) substream
         fresh = substream(5, PURPOSE_ADVERSARY, 7, 6, 2)
@@ -269,25 +269,35 @@ class TestAdversaries:
         assert np.array_equal(grad, fresh.uniform(-4.0, 4.0, size=2))
 
     def test_collude_target_pulls_with_norm_zeta(self):
-        observed = make_observed([[1.0, 0.0], [3.0, 0.0]], np.zeros((2, 2)), 5.0, 6.0)
         target = np.array([-2.0, 0.0])
         strategy = AdversaryStrategy(kind="collude_target", target=target)
+        observed = make_observed([[1.0, 0.0], [3.0, 0.0]], np.zeros((2, 2)), 5.0, 6.0, strategy)
         estimate, grad = adversary_emit(strategy, 0, 9, 1, observed, stream(0, strategy, observed))
         assert np.array_equal(estimate, target)
         assert np.linalg.norm(grad) == pytest.approx(6.0, abs=1e-12)
         # pull points from the target toward the honest mean (2, 0)
         assert grad[0] > 0
 
+    def test_collude_target_estimate_cannot_change_the_target(self):
+        target = np.array([-2.0, 0.5])
+        strategy = AdversaryStrategy(kind="collude_target", target=target)
+        observed = make_observed([[1.0, 0.0]], np.zeros((1, 2)), 5.0, 6.0, strategy)
+        estimate, _ = adversary_emit(strategy, 0, 9, 1, observed, stream(0, strategy, observed))
+        with pytest.raises(ValueError, match="read-only"):
+            estimate[0] = 99.0
+        target[0] = 99.0
+        assert np.array_equal(strategy.target, [-2.0, 0.5])
+
     def test_collude_target_zero_pull_degenerates(self):
-        observed = make_observed([[1.0]], np.zeros((1, 1)), 5.0, 6.0)
         strategy = AdversaryStrategy(kind="collude_target", target=np.array([1.0]))
+        observed = make_observed([[1.0]], np.zeros((1, 1)), 5.0, 6.0, strategy)
         assert np.array_equal(adversary_emit(strategy, 0, 9, 0, observed, stream(0, strategy, observed))[1], [0.0])
 
     def test_collude_target_random_estimates_mode(self):
-        observed = make_observed([[1.0], [2.0]], np.zeros((2, 1)), 5.0, 6.0)
         strategy = AdversaryStrategy(
             kind="collude_target", target=np.array([4.0]), estimates="random_in_box"
         )
+        observed = make_observed([[1.0], [2.0]], np.zeros((2, 1)), 5.0, 6.0, strategy)
         a_estimate, a_grad = adversary_emit(strategy, 0, 9, 1, observed, stream(3, strategy, observed))
         b_estimate, b_grad = adversary_emit(strategy, 0, 9, 2, observed, stream(3, strategy, observed))
         assert not np.array_equal(a_estimate, b_estimate)  # per-receiver inconsistency
@@ -346,15 +356,14 @@ class TestSharedRoundValues:
         for got_estimate, got_grad in messages:
             np.testing.assert_allclose(got_estimate, estimate, rtol=1e-15, atol=0.0)
             np.testing.assert_allclose(got_grad, grad, rtol=1e-15, atol=0.0)
-        # computed once for the round, not once per message
-        assert all(got_grad is messages[0][1] for _, got_grad in messages)
 
-    def test_colluding_pull_of_random_estimates_is_shared_too(self):
-        strategy = AdversaryStrategy(kind="collude_target", target=self.TARGET, estimates="random_in_box")
+    @pytest.mark.parametrize("estimates", ["target", "random_in_box"])
+    def test_the_colluding_pull_is_computed_once_per_round(self, estimates):
+        strategy = AdversaryStrategy(kind="collude_target", target=self.TARGET, estimates=estimates)
         messages = self.round_messages(strategy, self.observed(strategy))
-        assert len({got_estimate.tobytes() for got_estimate, _ in messages}) == len(messages)
         for _, got_grad in messages:
             np.testing.assert_allclose(got_grad, self.pull(self.ESTIMATES), rtol=1e-15, atol=0.0)
+        assert all(got_grad is messages[0][1] for _, got_grad in messages)
 
     def test_a_new_round_recomputes_the_pull(self):
         strategy = AdversaryStrategy(kind="collude_target", target=self.TARGET)
@@ -364,9 +373,3 @@ class TestSharedRoundValues:
         np.testing.assert_allclose(first, self.pull(self.ESTIMATES), rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(second, self.pull(moved), rtol=1e-15, atol=0.0)
         assert not np.allclose(first, second)
-
-    def test_a_round_observed_without_the_strategy_reads_its_parameters(self):
-        strategy = AdversaryStrategy(kind="norm_inflate", scale=2.0)
-        unbound = make_observed(self.ESTIMATES, self.GRADIENTS, self.XI, self.ZETA)
-        _, grad = adversary_emit(strategy, 0, 9, 1, unbound, stream(0, strategy, unbound))
-        np.testing.assert_allclose(grad, 2.0 * self.GRADIENTS.mean(axis=0), rtol=1e-15, atol=0.0)

@@ -135,7 +135,7 @@ class TestBulkDraws:
     def test_fills_stop_at_the_horizon(self):
         stream = self.stream(horizon=10)
         stream.at(4, 8, 0)
-        assert len(stream._rows) == 7 * 8  # rounds 4..10 of 8 sites each
+        assert len(stream._flat) == 7 * 8  # rounds 4..10 of 8 sites each
         with pytest.raises(ValueError, match="outside"):
             stream.at(11, 8, 0)
 
@@ -154,4 +154,4 @@ class TestBulkDraws:
         stream = self.stream(senders=(5, 6, 7), receivers=(0, 1, 2))  # 9 sites of 2 blocks per round
         for t, s, r in ((0, 5, 0), (0, 7, 2), (1, 6, 1)):
             assert np.array_equal(stream.at(t, s, r), uniform_at(99, self.LOW, self.HIGH, t, s, r))
-        assert sizes == [5, 5, 5, 3] * 2 and len(stream._rows) == 9  # one round
+        assert sizes == [5, 5, 5, 3] * 2 and len(stream._flat) == 9  # one round

@@ -292,11 +292,12 @@ class TestSharedMessages:
             AdversaryStrategy(kind="sign_flip"),
             AdversaryStrategy(kind="norm_inflate", scale=25.0),
             AdversaryStrategy(kind="coord_extreme"),
+            AdversaryStrategy(kind="collude_target", target=np.full(3, 0.5)),
         ],
-        ids=["sign_flip", "norm_inflate", "coord_extreme"],
+        ids=["sign_flip", "norm_inflate", "coord_extreme", "collude_target"],
     )
     def test_changing_a_returned_array_after_the_round_leaves_the_inbox_unchanged(self, monkeypatch, adversary):
-        # every message of a round shares one array per value; the inbox must hold copies
+        # messages of a round may share an array (a mean, the pull); the inbox must hold copies
         scenario = redundant_scenario(horizon=5, adversary=adversary)
         expected = run(scenario)
         returned = {}
@@ -310,7 +311,8 @@ class TestSharedMessages:
         def scribbling(me, estimates, gradients, eta_t, f, box):
             for message, _ in returned.values():
                 for part in message:
-                    part[...] = 99.0
+                    if part.flags.writeable:
+                        part[...] = 99.0
             latest = max(t for t, _, _ in returned)
             for (t, sender, receiver), (_, copies) in returned.items():
                 if t == latest and receiver == me:
