@@ -11,12 +11,13 @@ arrays swap at the end of each round. Messages live in one preallocated
 b-th honest receiver, indexed by sender id; the two take 2 * h * n * d
 floats for h honest agents. Each round writes the honest rows once for
 every receiver. The q * h faulty messages of a round (q faulty senders)
-are emitted one call each, stacked into one (q * h, 2, d) block of
-2 * q * h * d floats, admitted by one vectorised check over the block in
-(sender, receiver) order, and written at (receiver, sender), where each
-receiver reads its own, by one strided assignment per inbox. Values that
-every faulty message of a round shares (the honest means and median, the
-colluding pull) are computed once per round, by the round's ObservedRound.
+are emitted one call each and stacked, one sender's h at a time, into a
+preallocated (q * h, 2, d) block of 2 * q * h * d floats. One vectorised
+check over the block admits them in (sender, receiver) order, and one
+strided assignment per inbox writes them at (receiver, sender), where
+each receiver reads its own. Values that every faulty message of a round
+shares (the honest means and median, the colluding pull) are computed
+once per round, by the round's ObservedRound.
 
 Nothing about the schedule, the metrics stride, or the adversary's
 strategy can leak randomness across consumers: all draws come from
@@ -171,12 +172,12 @@ def honest_minimizer(scenario: Scenario) -> Point:
 
 
 def _message_block(messages: list, d: int) -> tuple[np.ndarray, int | None]:
-    """The round's faulty messages as one (q*h, 2, d) block, and the first of wrong shape.
+    """`messages` as one (m, 2, d) block, and the index of the first of wrong shape.
 
-    `messages` alternates estimate and gradient, in (sender, receiver)
-    order. When a part is not of shape (d,), the block holds only the
-    messages before its message, and that message's index comes second;
-    otherwise the second is None.
+    `messages` alternates estimate and gradient, m messages in order.
+    When a part is not of shape (d,), the block holds only the messages
+    before its message, and that message's index comes second; otherwise
+    the second is None.
     """
     try:
         block = np.array(messages, dtype=np.float64)
@@ -196,9 +197,10 @@ def _message_block(messages: list, d: int) -> tuple[np.ndarray, int | None]:
 def _admit(t: int, block: np.ndarray, sites: list[tuple[int, int]]) -> None:
     """Abort on the first faulty message with a coordinate beyond the admission bound.
 
-    `block` holds the round's messages as `_message_block` gives them,
-    message k sent over `sites[k]`, a (sender, receiver) pair; they are
-    judged in that order, the estimate before the gradient.
+    `block` holds the round's messages, or the first of them, as (m, 2,
+    d) estimate and gradient pairs, message k sent over `sites[k]`, a
+    (sender, receiver) pair; they are judged in that order, the estimate
+    before the gradient.
     """
     # NaN fails the <= comparison, so one test covers both conditions
     ok = (np.abs(block) <= MESSAGE_COORD_LIMIT).all(axis=2)
@@ -271,6 +273,7 @@ def run(scenario: Scenario) -> RunResult:
     filtered = np.empty_like(estimates)
     inbox_est = np.empty((len(honest_ids), scenario.n, d))
     inbox_grad = np.empty_like(inbox_est)
+    block = np.empty((len(sites), 2, d))  # the round's faulty messages, in admission order
 
     for t in range(horizon + 1):
         eta_t = eta(scenario.schedule, t)
@@ -281,25 +284,29 @@ def run(scenario: Scenario) -> RunResult:
         inbox_est[:, honest_rows] = estimates
         inbox_grad[:, honest_rows] = gradients
 
-        # phase 1: materialize every faulty message of round t, then admit
-        # and route them as one block
+        # phase 1: materialize every faulty message of round t, a sender's
+        # at a time, into the block, then admit and route the block
         if sites:
             observed = ObservedRound(estimates, gradients, box, constants.zeta, scenario.adversary)
-            messages = []
-            for s, r in sites:
-                est, grad = adversary_emit(scenario.adversary, t, s, r, observed, stream=adversary_stream)
-                messages.append(est)
-                messages.append(grad)
-            block, wrong = _message_block(messages, d)
-            # earlier messages are judged first, keeping the report in order
+            for a, s in enumerate(faulty_ids):
+                messages = []
+                for r in honest_ids:
+                    est, grad = adversary_emit(scenario.adversary, t, s, r, observed, stream=adversary_stream)
+                    messages.append(est)
+                    messages.append(grad)
+                rows, wrong = _message_block(messages, d)
+                start = a * len(honest_ids)
+                block[start : start + len(rows)] = rows
+                if wrong is not None:
+                    # earlier messages are judged first, keeping the report in order
+                    _admit(t, block[: start + wrong], sites)
+                    s, r = sites[start + wrong]
+                    raise SimulationAbort(t, f"message {s}->{r} has wrong dimension")
             _admit(t, block, sites)
-            if wrong is not None:
-                s, r = sites[wrong]
-                raise SimulationAbort(t, f"message {s}->{r} has wrong dimension")
             # (sender, receiver) order to the inboxes' (receiver, sender)
-            block = block.reshape(len(faulty_ids), len(honest_ids), 2, d).swapaxes(0, 1)
-            inbox_est[:, faulty_rows] = block[:, :, 0]
-            inbox_grad[:, faulty_rows] = block[:, :, 1]
+            routed = block.reshape(len(faulty_ids), len(honest_ids), 2, d).swapaxes(0, 1)
+            inbox_est[:, faulty_rows] = routed[:, :, 0]
+            inbox_grad[:, faulty_rows] = routed[:, :, 1]
 
         # phase 2: every honest agent updates on its complete inbox; a step
         # that overflows is aborted by project_box's finiteness check, not warned about
