@@ -436,3 +436,8 @@ class TestAdmissionGate:
         replacements[(2, 8, 6)] = (np.zeros(3), huge)
         with pytest.raises(SimulationAbort, match="round 2: gradient from agent 8 to 6 exceeds"):
             self.run_with_messages(monkeypatch, replacements)
+
+    def test_bad_message_of_an_earlier_sender_precedes_a_later_wrong_shape(self, monkeypatch):
+        replacements = {(2, 8, 6): (np.zeros(3), np.full(3, np.nan)), (2, 9, 0): (np.zeros(3), np.zeros(4))}
+        with pytest.raises(SimulationAbort, match="round 2: gradient from agent 8 to 6 exceeds"):
+            self.run_with_messages(monkeypatch, replacements)
