@@ -1,4 +1,4 @@
-"""Golden outputs: sha256 of `trace.csv` and `summary.json` for short runs through the CLI.
+"""Golden outputs: sha256 of `trace.csv` and `summary.json` for short runs through the CLI, and of `gen` output.
 
 Trace rows carry 17 significant digits and the summary's floats are
 written so that they round-trip, so a digest pins each recorded value bit
@@ -69,6 +69,15 @@ SUMMARY_DIGESTS = {
 }
 
 
+# `gen` output at fixed parameters: pins each template's draws and layout byte for byte
+GEN_DIGESTS = {
+    "redundant_quadratic --n 9 --f 2 --d 12 --seed 5 --eig-min 0.5 --eig-max 2":
+        "f313109d6ec3a9924503fa20b4f0a00a017a9efb8ff86dd2a94d721b78c44ba5",
+    "violated_redundancy --n 7 --f 2 --d 3": "456f86a0c2782c93e6023872f8a5542a70ef645d4352d76b1d1b34f47a25ce9d",
+    "margin_negative --d 5 --seed 11": "798aef78e697b42cf44fc58dcc97ed9951309a7a6ecf2d2c2d741141b276e7de",
+}
+
+
 @pytest.fixture(scope="module")
 def run_case(tmp_path_factory):
     """Run each case through the CLI once; return its output directory."""
@@ -102,3 +111,9 @@ def test_trace_digest(name, run_case):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_summary_digest(name, run_case):
     assert sha256(run_case(name) / "summary.json") == SUMMARY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("args", sorted(GEN_DIGESTS))
+def test_gen_digest(args, capsys):
+    assert main(["gen", *args.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == GEN_DIGESTS[args]
