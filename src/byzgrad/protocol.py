@@ -29,8 +29,9 @@ Adversary strategies (names appear verbatim in scenario files):
                     still claims to respect the gradient bound
 
 Randomized strategies take their values from the run's CounterStream at
-(round, sender, receiver), so a message is a pure function of those
-coordinates. `AdversaryStrategy.draw_bounds` states what a message draws,
+(round, sender, receiver): row receiver of the sender's (n, k) draw for
+the round, so a message is a pure function of the seed and those
+coordinates, whoever else is faulty. `AdversaryStrategy.draw_bounds` states what a message draws,
 in order: `random_in_box` d values in [-xi, xi], then d in [-zeta, zeta];
 `collude_target` with random estimates d in [-xi, xi]; the others none.
 """

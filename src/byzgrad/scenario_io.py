@@ -41,7 +41,7 @@ from .costs import CostEnsemble, QuadraticCost, make_redundant_ensemble, spectra
 from .errors import ConfigError
 from .filters import Hypercube
 from .protocol import ADVERSARY_KINDS, AdversaryStrategy, StepSchedule
-from .seeds import MAX_SEED, PURPOSE_TEMPLATE, substream
+from .seeds import MAX_SEED, PURPOSE_TEMPLATE, Substreams
 from .simulator import Scenario
 
 SCHEMA_VERSION = 1
@@ -339,8 +339,7 @@ def dump_scenario(mapping: dict) -> str:
 
 
 def _interior_point(seed: int, d: int, xi: float) -> list[float]:
-    rng = substream(seed, PURPOSE_TEMPLATE)
-    return [float(v) for v in rng.uniform(-0.5 * xi, 0.5 * xi, size=d)]
+    return [float(v) for v in Substreams(seed, PURPOSE_TEMPLATE).uniform((), -0.5 * xi, 0.5 * xi, d)]
 
 
 def template_redundant_quadratic(

@@ -21,12 +21,13 @@ once per round, by the round's ObservedRound.
 
 Nothing about the schedule, the metrics stride, or the adversary's
 strategy can leak randomness across consumers: all draws come from
-substreams keyed by purpose and site, so a scenario (including its seed)
-maps to exactly one trajectory, bit for bit. The adversary's draws come
-from one CounterStream per run over (faulty sender, honest receiver)
-sites, with the bounds its strategy states; it computes a fill of whole
-rounds at a time in bulk, at most max(one round, 2048) sites, each value
-equal to the per-site substream's.
+substreams keyed by purpose and site, and no two sites share a Philox
+block, so a scenario (including its seed) maps to exactly one
+trajectory, bit for bit. Agent i starts from the init draw at site (i,).
+The adversary's draws come from one CounterStream per run, with the
+bounds its strategy states: a faulty sender's round is one (n, k) draw at
+site (t, s), whose row r is its message to receiver r, so a message is a
+pure function of (seed, t, s, r) whoever else is faulty.
 
 Runs never refuse theoretically doomed configurations. A non-positive
 fault-tolerance margin or a failed redundancy check is reported as a
@@ -59,7 +60,7 @@ from .protocol import (
     eta,
     honest_round,
 )
-from .seeds import MAX_SEED, PURPOSE_ADVERSARY, PURPOSE_INIT, CounterStream, substream
+from .seeds import MAX_SEED, PURPOSE_ADVERSARY, PURPOSE_INIT, CounterStream, Substreams
 
 DEFAULT_TRACE_TARGET = 10000  # default stride keeps traces near this many rows
 
@@ -254,8 +255,7 @@ def run(scenario: Scenario) -> RunResult:
     horizon = scenario.horizon
     trace: list[RoundTrace] = []
     adversary_stream = CounterStream(
-        scenario.seed, PURPOSE_ADVERSARY, faulty_ids, honest_ids,
-        *scenario.adversary.draw_bounds(box, constants.zeta), horizon,
+        scenario.seed, PURPOSE_ADVERSARY, scenario.n, *scenario.adversary.draw_bounds(box, constants.zeta)
     )
     d = scenario.d
     honest_rows = np.array(honest_ids, dtype=np.intp)
@@ -264,10 +264,9 @@ def run(scenario: Scenario) -> RunResult:
     if isinstance(scenario.init, np.ndarray):
         estimates = scenario.init[honest_rows]
     else:
-        # per-agent substreams: agent i's draw does not depend on who else exists
-        estimates = np.stack(
-            [substream(scenario.seed, PURPOSE_INIT, i).uniform(-scenario.xi, scenario.xi, size=d) for i in honest_ids]
-        )
+        # per-agent sites: agent i's draw does not depend on who else exists
+        init = Substreams(scenario.seed, PURPOSE_INIT)
+        estimates = np.stack([init.uniform((i,), -scenario.xi, scenario.xi, d) for i in honest_ids])
     gradients = np.empty_like(estimates)
     next_estimates = np.empty_like(estimates)
     filtered = np.empty_like(estimates)

@@ -38,34 +38,34 @@ CASES = {
 }
 
 DIGESTS = {
-    "collude_target": "65639e56485be332da794dea6b2c203c7527f56560812a222fab5202955d300c",
-    "collude_target_d12": "06e40cb53fa8c4dfcc4ad7f1e1a615703832c2a9afd40589f4b2dd75d8bbff55",
-    "collude_target_random_estimates": "7cf810e0bc755cab74ce4db689fcc2200aefc9c659541c31c450d423c53e7790",
-    "coord_extreme": "6d2cc8bdb97cd9d03b4ad11787e939ce9a8dba7dd184564f67f9546ccd0dc509",
-    "fault_free": "78b4b27c8734cf2ffb385e0470766a31fac7f711b59f099c97c886dcd11e714d",
-    "margin_negative": "f1e5438ffe116424b47d07ab9bb005f7030b603b274fcc06355cbb239971861e",
-    "n100": "80e72efdfe17b9fd7630fc40dde440645aa61ad063e191824a7ec4cce512718e",
-    "n40_d1": "bbb0a036179b82cf63688ec01f2df9cb6d4bf76dda30a7c0a39aab1bed6edf4c",
-    "norm_inflate": "55dfb1457b6fdb8624fa39a2e62d709a7ad2312069b41081f60e7fb8fb89fa29",
-    "random_in_box": "577ec3883458a08b2e0a569c505dd31ebbbfc977bbbe00ac8d678be7724697f6",
-    "sign_flip": "a5148b003bd5f034ed7494bbe4ce139952093961b7923225ca8189141ca8d97e",
-    "violated_redundancy": "c3a4a483e4b7073561dd4cda3f9d91cddca910b4cece94383f82292c89b42df0",
+    "collude_target": "6850665948547b3dd24d64de44d2885ebacc9a1700e8f72be11f03696f1558cd",
+    "collude_target_d12": "fe81d6dd3d80d5f81f1108189ca35987e88a25bfb7c28cc35fa37f949f5ffbc9",
+    "collude_target_random_estimates": "ecc5e06d0cf1658940d2b2ee65f44062b45594e9b0aa2c194ae7b7d7c3d769c7",
+    "coord_extreme": "28f43a1bc652a76fd622d23d639ff1a2aafa51e1f38b3115d0874bc76947c811",
+    "fault_free": "365968f35a093dc64817700b7cd937ceea35bce5f33c3434729e04d16b034b31",
+    "margin_negative": "7ef6e2513f4cf97ed448cc98cee55d278886b027b527435c62b1077817733464",
+    "n100": "760d795f5fa893307e1f3975db39b133582f65536c1c2a44adc5fd6bc390ee49",
+    "n40_d1": "fdbbe7d545c2e9d237488d28f004874000eed93fe07341f06b4bbd2508217b5e",
+    "norm_inflate": "e5ed51346b94f7b10a2da371bcdc71c5cb55e2cae9fe61cb7cb443cb743e4ec5",
+    "random_in_box": "8e3421138db239474d3c319ef3f0bc0c799b06d842a099443993f93d67d2d414",
+    "sign_flip": "d3d387598b6dc56505622ebba0bd01d81c94ba06f9f2991650b1731cda8ef5aa",
+    "violated_redundancy": "1804257a513339f4949d2ddb8213ee53b688985f5167684fa8cd877c05c5915d",
 }
 
 
 SUMMARY_DIGESTS = {
-    "collude_target": "f7451d59881b0cb14cb9dc103ee06e36ed1d61fcdcd5f1b9d4bf9b5a448cfdc5",
-    "collude_target_d12": "d85ef5e2424551a1976a48b152e7cc41968c1713e055b57e8e7f8046aa59dddb",
-    "collude_target_random_estimates": "ca8553c0e18e917597d6e233039567690d33ef8bed53f85bf5e950bebc8a9ab2",
-    "coord_extreme": "2bd037dffb4dd890e71013469d2bbeaa212aae46291bddc5cf3cb470672266b5",
-    "fault_free": "d8e04b8026eb54ab1af0c0a15b91fda1d23974d620b733b92c804786892b8848",
-    "margin_negative": "d2562249605657678b46861330658f48c0778220f809a88e98f16dac76087553",
-    "n100": "a8ac89b4e6e44251a229a56afd671e26e30ab8ec197523ece40bebc0ed1aa413",
-    "n40_d1": "394d47e1a7c1a1160f7f9f5835b5f0af2d39a8e13daf6867f4c9242269704905",
-    "norm_inflate": "00eda2a7c7cfe8ab21bb8860d7341a80296246ac33ba49876c70bd8e3d09917f",
-    "random_in_box": "22e8382b44a7c2408e108e04f5a415afdc834b4989fe2a4ee8991b1d47331ef9",
-    "sign_flip": "00a97a00feab92386c18890cf10a6f97b4c0993906c58bdf1f8685c7b1e3b8bf",
-    "violated_redundancy": "0d339ac44214f175c14308b332154848f433eafa3b5b451f59cd27508a3b4f8d",
+    "collude_target": "ca82e23d6d9a86c81cc889aff06b64eaa3631816196e277bd61dcfc54e0095da",
+    "collude_target_d12": "dff272feac6b619af8723108c580873134cc295b3049d73b350bab53a53e2f62",
+    "collude_target_random_estimates": "9350b05d6982b96eaa487c6e4d8b897d9b9fbd6b3cfd7e9d0052c6ca435981af",
+    "coord_extreme": "a5c3523b4b65c662f1f9ba2c1fa08dc6fd0dc2b468dadd66ff3ee5b9062393fb",
+    "fault_free": "6f17507922c9185b08e220353c5b13717a7e2da6f4f6734e37c02c3d8cca3185",
+    "margin_negative": "14e340727f974499aea1648f16ad81daf6a706daac7e4a4badcc9eb6a355fba9",
+    "n100": "a90d76fe5388889414eaf475a04650f3edeef576b7ac855b6366a74570006907",
+    "n40_d1": "6cfca91852e49977cb570782f89a89e9f7f088463ec6ca8905993dcef2d75a8c",
+    "norm_inflate": "2dc60b80d3d3d2397ec8ec97876c51b674b8d5bb7d6f420c474e3e5380dc7cf5",
+    "random_in_box": "cf0250972fac12fdf86397e5fc673d67486f251b9c175eee6ad70dc2f7663801",
+    "sign_flip": "4f68fbbaa1a692fd2706acda07209e67cc0ab49ba8ecb73abe15304bd57b33e4",
+    "violated_redundancy": "c3f061ea9ecfca49a65ab52dc715aa5c3b4ad4b1e221b0ee22a4dda0e4b411d8",
 }
 
 

@@ -13,7 +13,7 @@ from byzgrad import (
     eta,
     honest_round,
 )
-from byzgrad.seeds import PURPOSE_ADVERSARY, CounterStream, substream
+from byzgrad.seeds import PURPOSE_ADVERSARY, CounterStream
 
 
 def zero_cost(d):
@@ -26,9 +26,8 @@ def make_observed(estimates, gradients, xi, zeta, strategy):
 
 
 def stream(seed, strategy, observed):
-    """The adversary CounterStream of a run with agent ids 0..9 and horizon 11."""
-    low, high = strategy.draw_bounds(observed.box, observed.zeta)
-    return CounterStream(seed, PURPOSE_ADVERSARY, range(10), range(10), low, high, horizon=11)
+    """The adversary CounterStream of a run with agent ids 0..9."""
+    return CounterStream(seed, PURPOSE_ADVERSARY, 10, *strategy.draw_bounds(observed.box, observed.zeta))
 
 
 def reference_step(me, x, cost, inbox, eta_t, f, box):
@@ -263,10 +262,12 @@ class TestAdversaries:
         strategy = AdversaryStrategy(kind="random_in_box")
         observed = make_observed([[0.25, -0.5]], [[0.0, 0.0]], 3.0, 4.0, strategy)
         estimate, grad = adversary_emit(strategy, 7, 6, 2, observed, stream(5, strategy, observed))
-        # the strategy draws its estimate, then its gradient, from the (7, 6, 2) substream
-        fresh = substream(5, PURPOSE_ADVERSARY, 7, 6, 2)
-        assert np.array_equal(estimate, fresh.uniform(-3.0, 3.0, size=2))
-        assert np.array_equal(grad, fresh.uniform(-4.0, 4.0, size=2))
+        # the strategy draws its estimate, then its gradient, from row 2 of the (10, 4) draw at (7, 6)
+        counter = np.array([0, 7, 6, 0], dtype=np.uint64)
+        fresh = np.random.Philox(counter=counter, key=np.array([5, PURPOSE_ADVERSARY], dtype=np.uint64))
+        unit = (fresh.random_raw((10, 4))[2] >> np.uint64(11)) * 2.0**-53
+        assert np.array_equal(estimate, -3.0 + 6.0 * unit[:2])
+        assert np.array_equal(grad, -4.0 + 8.0 * unit[2:])
 
     def test_collude_target_pulls_with_norm_zeta(self):
         target = np.array([-2.0, 0.0])

@@ -14,7 +14,6 @@ from byzgrad import (
     make_redundant_ensemble,
     run,
 )
-from byzgrad.seeds import PURPOSE_ADVERSARY, substream
 
 
 def redundant_scenario(
@@ -190,23 +189,26 @@ class TestDeterminism:
 
 
 class TestBulkAdversaryDraws:
-    @pytest.mark.parametrize("horizon", [3, 130], ids=["shorter_than_a_fill", "two_fills"])
-    def test_messages_equal_per_site_substreams(self, monkeypatch, horizon):
+    def test_message_is_a_pure_function_of_its_site(self, monkeypatch):
         real = byzgrad.simulator.adversary_emit
         seen = {}
 
         def emit(strategy, t, sender, receiver, observed, stream):
             message = real(strategy, t, sender, receiver, observed, stream)
-            seen[t, sender, receiver] = (observed.zeta, *(np.array(part) for part in message))
+            seen[faulty][t, sender, receiver] = np.array(message[0])  # the drawn estimate
             return message
 
         monkeypatch.setattr(byzgrad.simulator, "adversary_emit", emit)
-        run(redundant_scenario(horizon=horizon, adversary=AdversaryStrategy(kind="random_in_box")))
-        assert len(seen) == (horizon + 1) * 2 * 8
-        for (t, sender, receiver), (zeta, estimate, grad) in seen.items():
-            rng = substream(7, PURPOSE_ADVERSARY, t, sender, receiver)
-            assert np.array_equal(estimate, rng.uniform(-10.0, 10.0, size=3))
-            assert np.array_equal(grad, rng.uniform(-zeta, zeta, size=3))
+        for faulty in ((9,), (8, 9), (7, 9), (7, 8, 9)):
+            seen[faulty] = {}
+            run(redundant_scenario(f=3, faulty=faulty, horizon=20))
+        # sender 9's messages to receivers 0..6, whoever else is faulty
+        common = {(t, 9, r) for t in range(21) for r in range(7)}
+        for faulty in ((8, 9), (7, 9), (7, 8, 9)):
+            assert common <= seen[faulty].keys()
+            for site in common:
+                assert np.array_equal(seen[faulty][site], seen[(9,)][site]), (faulty, site)
+        assert not np.array_equal(seen[(9,)][0, 9, 0], seen[(9,)][0, 9, 1])
 
     def test_random_adversary_without_faulty_agents(self):
         result = run(
@@ -214,6 +216,20 @@ class TestBulkAdversaryDraws:
                                adversary=AdversaryStrategy(kind="random_in_box"))
         )
         assert len(result.trace) == 6
+
+
+class TestStartPoints:
+    def test_agents_share_no_start_coordinate(self, monkeypatch):
+        real = byzgrad.simulator.honest_round
+        starts = {}
+
+        def recording(me, estimates, gradients, eta_t, f, box):
+            starts.setdefault(me, np.array(estimates[me]))  # the first call is round 0
+            return real(me, estimates, gradients, eta_t, f, box)
+
+        monkeypatch.setattr(byzgrad.simulator, "honest_round", recording)
+        run(redundant_scenario(d=12, horizon=1))
+        assert np.intersect1d(starts[0], starts[1]).size == 0
 
 
 class TestConservation:
