@@ -27,6 +27,7 @@ limit zeta is an analytic upper bound.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +162,21 @@ def aggregate_minimizer(ensemble: CostEnsemble) -> Point:
     return x_star
 
 
+def check_hessians_fit(n: int, d: int) -> None:
+    """Refuse a dimension at which n dense d x d Hessians exceed physical memory.
+
+    Called before anything of size d is drawn or built, so a hopeless d
+    is refused at once instead of after a long run into MemoryError.
+    """
+    need = 8 * n * d * d
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"d = {d} is too large: {n} Hessians of d x d floats need {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def make_redundant_ensemble(
     n: int,
     f: int,
@@ -182,6 +198,7 @@ def make_redundant_ensemble(
         raise ValueError(f"need n >= 2f+1, got n={n}, f={f}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
+    check_hessians_fit(n, d)
     if not (0.0 < eig_min <= eig_max < np.inf):
         raise ValueError(f"need 0 < eig_min <= eig_max, got [{eig_min}, {eig_max}]")
     x_star = as_point(x_star, d)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .costs import CostEnsemble, QuadraticCost, make_redundant_ensemble, spectral_constants
+from .costs import CostEnsemble, QuadraticCost, check_hessians_fit, make_redundant_ensemble, spectral_constants
 from .errors import ConfigError
 from .filters import Hypercube
 from .protocol import ADVERSARY_KINDS, AdversaryStrategy, StepSchedule
@@ -362,6 +362,7 @@ def template_redundant_quadratic(
     if n < 2 * f + 1:
         raise ValueError(f"need n >= 2f+1, got n={n}, f={f}")
     Hypercube(float(xi), d)  # refuses xi and d before anything is drawn
+    check_hessians_fit(n, d)
     adversary = {"kind": "collude_target", "target": [float(xi)] * d, "estimates": "random_in_box"}
     generator = {
         "seed": seed,
@@ -388,6 +389,7 @@ def template_violated_redundancy(
     if n < 2 * f + 1:
         raise ValueError(f"need n >= 2f+1, got n={n}, f={f}")
     Hypercube(float(xi), d)  # refuses xi and d before anything is built
+    check_hessians_fit(n, d)
     spread = np.linspace(-0.5 * xi, 0.5 * xi, n)
     costs = []
     for i in range(n):
@@ -418,6 +420,7 @@ def template_margin_negative(
     if n < 2 * f + 1:
         raise ValueError(f"need n >= 2f+1, got n={n}, f={f}")
     box = Hypercube(float(xi), d)  # refuses xi and d before anything is drawn
+    check_hessians_fit(n, d)
     x_star = _interior_point(seed, d, xi)
     honest_set = frozenset(range(n - f))  # as _template_mapping declares
 

@@ -3,6 +3,7 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,19 @@ class TestGen:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("template", TEMPLATES)
+    def test_refuses_a_d_whose_hessians_exceed_memory(self, capsys, template):
+        tracemalloc.start()
+        try:
+            assert main(["gen", template, "--d", "100000000"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: d = 100000000 is too large") and captured.err.count("\n") == 1
+        assert peak < 2**20  # refused before anything of size d was drawn or built
 
     def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
         def exhausted(d=1):

@@ -179,6 +179,11 @@ class TestMakeRedundantEnsemble:
         with pytest.raises(ValueError):
             make_redundant_ensemble(5, 1, 1, [0.0], seed=0, eig_min=0.0, eig_max=1.0)
 
+    def test_refuses_hessians_larger_than_memory(self):
+        # refused before x_star is read at dimension d or any Hessian is built
+        with pytest.raises(ValueError, match="d = 100000000 is too large"):
+            make_redundant_ensemble(5, 1, 10**8, [0.0], seed=0, eig_min=1.0, eig_max=1.0)
+
 
 class TestRedundancyCheck:
     def test_distinct_minimizers_fail(self):
