@@ -46,9 +46,15 @@ class TestSubstream:
         assert np.array_equal(substreams.uniform((1,), -1.0, 1.0, 8), draws(1, PURPOSE_INIT, 1))
 
     def test_neighbouring_sites_share_no_block(self):
+        # adversary sites (t, s, r), 64 draws each: row r of the (t, s) table
+        stream = CounterStream(7, PURPOSE_ADVERSARY, 10, np.zeros(64), np.ones(64))
+        base = stream.at(3, 5, 1).copy()
+        for neighbour in ((4, 5, 1), (2, 5, 1), (3, 6, 1), (3, 4, 1), (3, 5, 2), (3, 5, 0)):
+            assert np.intersect1d(base, stream.at(*neighbour)).size == 0, neighbour
+        # raw words at sites of three coordinates and fewer
         substreams = Substreams(7, PURPOSE_ADVERSARY)
         base = substreams.raw((3, 5, 1), 64)
-        for neighbour in ((4, 5, 1), (2, 5, 1), (3, 6, 1), (3, 5, 2), (3, 5), ()):
+        for neighbour in ((4, 5, 1), (3, 6, 1), (3, 5, 2), (3, 5), (3,), ()):
             assert np.intersect1d(base, substreams.raw(neighbour, 64)).size == 0, neighbour
         # the d = 12 start points of agents 0 and 1
         init = Substreams(7, PURPOSE_INIT)
