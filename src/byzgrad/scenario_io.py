@@ -339,7 +339,7 @@ def dump_scenario(mapping: dict) -> str:
 
 
 def _interior_point(seed: int, d: int, xi: float) -> list[float]:
-    return [float(v) for v in Substreams(seed, PURPOSE_TEMPLATE).uniform((), -0.5 * xi, 0.5 * xi, d)]
+    return [float(v) for v in Substreams(seed, PURPOSE_TEMPLATE).uniform([()], -0.5 * xi, 0.5 * xi, d)[0]]
 
 
 def template_redundant_quadratic(

@@ -51,9 +51,13 @@ class Substreams:
         self._philox.state = self._state
         return self._philox.random_raw(size)
 
-    def uniform(self, site: tuple[int, ...], low, high, size) -> np.ndarray:
-        """Values uniform in [low, high) at `site`, an array of shape `size`; bounds broadcast."""
-        return low + (high - low) * ((self.raw(site, size) >> _SHIFT11) * _UNIT)
+    def uniform(self, sites, low, high, size) -> np.ndarray:
+        """Values uniform in [low, high), shape (len(sites), *size): row i is drawn at `sites[i]`.
+
+        The bounds broadcast against each row.
+        """
+        raw = np.array([self.raw(site, size) for site in sites], dtype=np.uint64)
+        return low + (high - low) * ((raw >> _SHIFT11) * _UNIT)
 
 
 class CounterStream:
@@ -63,21 +67,23 @@ class CounterStream:
     per-draw bounds `low` and `high` (arrays of length k). Its rows cover
     every agent id 0..n-1, so a message's values are a pure function of
     (seed, t, s, r), whoever else is faulty. `at(t, s, r)` returns the row,
-    read-only; the table of (t, s) is drawn when it is first asked for
-    after another, and a later table leaves rows already returned as they
-    are.
+    read-only, for s among `senders`. The tables of all senders of round t
+    are drawn together when the round is first asked for after another,
+    and a later round leaves rows already returned as they are.
     """
 
-    def __init__(self, seed: int, purpose: int, n: int, low, high):
+    def __init__(self, seed: int, purpose: int, senders, n: int, low, high):
         self._substreams = Substreams(seed, purpose)
+        self._senders = {s: a for a, s in enumerate(senders)}
         self._low = np.asarray(low, dtype=np.float64).reshape(-1)
         self._high = np.asarray(high, dtype=np.float64).reshape(-1)
         self._shape = (n, self._low.size)
-        self._site = self._table = None
+        self._round = self._table = None
 
     def at(self, round_: int, sender: int, receiver: int) -> np.ndarray:
-        if self._site != (round_, sender):
-            self._table = self._substreams.uniform((round_, sender), self._low, self._high, self._shape)
+        if round_ != self._round:
+            sites = [(round_, s) for s in self._senders]
+            self._table = self._substreams.uniform(sites, self._low, self._high, self._shape)
             self._table.flags.writeable = False
-            self._site = (round_, sender)
-        return self._table[receiver]
+            self._round = round_
+        return self._table[self._senders[sender], receiver]

@@ -255,7 +255,7 @@ def run(scenario: Scenario) -> RunResult:
     horizon = scenario.horizon
     trace: list[RoundTrace] = []
     adversary_stream = CounterStream(
-        scenario.seed, PURPOSE_ADVERSARY, scenario.n, *scenario.adversary.draw_bounds(box, constants.zeta)
+        scenario.seed, PURPOSE_ADVERSARY, faulty_ids, scenario.n, *scenario.adversary.draw_bounds(box, constants.zeta)
     )
     d = scenario.d
     honest_rows = np.array(honest_ids, dtype=np.intp)
@@ -266,7 +266,7 @@ def run(scenario: Scenario) -> RunResult:
     else:
         # per-agent sites: agent i's draw does not depend on who else exists
         init = Substreams(scenario.seed, PURPOSE_INIT)
-        estimates = np.stack([init.uniform((i,), -scenario.xi, scenario.xi, d) for i in honest_ids])
+        estimates = init.uniform([(i,) for i in honest_ids], -scenario.xi, scenario.xi, d)
     gradients = np.empty_like(estimates)
     next_estimates = np.empty_like(estimates)
     filtered = np.empty_like(estimates)

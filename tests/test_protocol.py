@@ -27,7 +27,7 @@ def make_observed(estimates, gradients, xi, zeta, strategy):
 
 def stream(seed, strategy, observed):
     """The adversary CounterStream of a run with agent ids 0..9."""
-    return CounterStream(seed, PURPOSE_ADVERSARY, 10, *strategy.draw_bounds(observed.box, observed.zeta))
+    return CounterStream(seed, PURPOSE_ADVERSARY, range(10), 10, *strategy.draw_bounds(observed.box, observed.zeta))
 
 
 def reference_step(me, x, cost, inbox, eta_t, f, box):

@@ -18,7 +18,7 @@ def fresh_uniform(seed, purpose, site, low, high, size):
 
 
 def draws(seed, purpose, *site):
-    return Substreams(seed, purpose).uniform(site, -1.0, 1.0, 8)
+    return Substreams(seed, purpose).uniform([site], -1.0, 1.0, 8)[0]
 
 
 class TestSubstream:
@@ -42,12 +42,18 @@ class TestSubstream:
 
     def test_independent_generators_do_not_interact(self):
         substreams = Substreams(1, PURPOSE_INIT)
-        substreams.uniform((0,), -1.0, 1.0, 9)  # a partly used block must not carry over
-        assert np.array_equal(substreams.uniform((1,), -1.0, 1.0, 8), draws(1, PURPOSE_INIT, 1))
+        substreams.uniform([(0,)], -1.0, 1.0, 9)  # a partly used block must not carry over
+        assert np.array_equal(substreams.uniform([(1,)], -1.0, 1.0, 8)[0], draws(1, PURPOSE_INIT, 1))
+
+    def test_one_row_per_site(self):
+        rows = Substreams(7, PURPOSE_INIT).uniform([(2,), (0,), (2,)], -3.0, 3.0, (2, 5))
+        assert rows.shape == (3, 2, 5)
+        assert np.array_equal(rows[0], rows[2])
+        assert np.array_equal(rows[1], fresh_uniform(7, PURPOSE_INIT, (0,), -3.0, 3.0, (2, 5)))
 
     def test_neighbouring_sites_share_no_block(self):
         # adversary sites (t, s, r), 64 draws each: row r of the (t, s) table
-        stream = CounterStream(7, PURPOSE_ADVERSARY, 10, np.zeros(64), np.ones(64))
+        stream = CounterStream(7, PURPOSE_ADVERSARY, [4, 5, 6], 10, np.zeros(64), np.ones(64))
         base = stream.at(3, 5, 1).copy()
         for neighbour in ((4, 5, 1), (2, 5, 1), (3, 6, 1), (3, 4, 1), (3, 5, 2), (3, 5, 0)):
             assert np.intersect1d(base, stream.at(*neighbour)).size == 0, neighbour
@@ -57,8 +63,8 @@ class TestSubstream:
         for neighbour in ((4, 5, 1), (3, 6, 1), (3, 5, 2), (3, 5), (3,), ()):
             assert np.intersect1d(base, substreams.raw(neighbour, 64)).size == 0, neighbour
         # the d = 12 start points of agents 0 and 1
-        init = Substreams(7, PURPOSE_INIT)
-        assert np.intersect1d(init.uniform((0,), -10.0, 10.0, 12), init.uniform((1,), -10.0, 10.0, 12)).size == 0
+        start = Substreams(7, PURPOSE_INIT).uniform([(0,), (1,)], -10.0, 10.0, 12)
+        assert np.intersect1d(start[0], start[1]).size == 0
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -78,11 +84,11 @@ class TestSubstream:
 
     def test_pinned_draws(self):
         # literals: they hold whatever numpy version runs them, since NEP 19 fixes random_raw
-        assert Substreams(7, PURPOSE_INIT).uniform((1,), -10.0, 10.0, 8).tolist() == [
+        assert Substreams(7, PURPOSE_INIT).uniform([(1,)], -10.0, 10.0, 8)[0].tolist() == [
             0.11723609123678358, 8.54319461078013, -6.4542779566250825, 9.83895582829932,
             -5.144009996735404, -1.7155696951311796, -4.2169560362571445, 3.152682969547003,
         ]
-        stream = CounterStream(7, PURPOSE_ADVERSARY, 10, np.full(8, -1.0), np.full(8, 1.0))
+        stream = CounterStream(7, PURPOSE_ADVERSARY, [8], 10, np.full(8, -1.0), np.full(8, 1.0))
         assert stream.at(3, 8, 2).tolist() == [
             0.401869446996149, 0.9366969414199287, 0.4755631388708801, 0.7697452124575401,
             -0.3219058949453657, 0.036364135714759716, 0.23052219610875313, 0.29669937434550975,
@@ -99,12 +105,12 @@ def site_values(seed, n, low, high, t, s, r):
 
 class TestCounterStream:
     def test_matches_substream_exactly(self):
-        stream = CounterStream(99, PURPOSE_ADVERSARY, 10, *UNIT)
+        stream = CounterStream(99, PURPOSE_ADVERSARY, [0, 8, 7, 9], 10, *UNIT)
         for t, s, r in [(0, 0, 0), (5, 8, 3), (2**40, 7, 1), (MAX_SEED, 9, 9)]:
             assert np.array_equal(stream.at(t, s, r), site_values(99, 10, *UNIT, t, s, r))
 
     def test_rekeying_resets_fully(self):
-        stream = CounterStream(5, PURPOSE_ADVERSARY, 10, *UNIT)
+        stream = CounterStream(5, PURPOSE_ADVERSARY, [2, 9], 10, *UNIT)
         first = stream.at(1, 2, 3).copy()
         stream.at(9, 9, 9)  # interleave a different site
         assert np.array_equal(first, stream.at(1, 2, 3))
@@ -115,13 +121,13 @@ class TestBulkDraws:
     HIGH = -LOW
 
     def test_sites_read_out_of_order(self):
-        stream = CounterStream(99, PURPOSE_ADVERSARY, 10, self.LOW, self.HIGH)
+        stream = CounterStream(99, PURPOSE_ADVERSARY, [8, 9], 10, self.LOW, self.HIGH)
         sites = [(700, 9, 1), (3, 8, 2), (699, 8, 0), (256, 9, 3), (0, 9, 0), (255, 8, 1), (3, 8, 2), (3, 9, 2)]
         for t, s, r in sites:
             assert np.array_equal(stream.at(t, s, r), site_values(99, 10, self.LOW, self.HIGH, t, s, r))
 
     def test_a_later_table_leaves_earlier_values_alone(self):
-        stream = CounterStream(99, PURPOSE_ADVERSARY, 10, self.LOW, self.HIGH)
+        stream = CounterStream(99, PURPOSE_ADVERSARY, [8, 9], 10, self.LOW, self.HIGH)
         first = stream.at(0, 8, 0)
         kept = first.copy()
         stream.at(600, 9, 3)
@@ -131,7 +137,7 @@ class TestBulkDraws:
 
     @pytest.mark.parametrize("low, high", [(np.full(1, -3.0), np.full(1, 3.0)), (np.full(9, -0.5), np.full(9, 4.0))])
     def test_draw_counts_that_leave_a_block_partly_unused(self, low, high):
-        stream = CounterStream(MAX_SEED, PURPOSE_ADVERSARY, 3, low, high)
+        stream = CounterStream(MAX_SEED, PURPOSE_ADVERSARY, [2], 3, low, high)
         for t in range(6):
             for r in range(3):
                 assert np.array_equal(stream.at(t, 2, r), site_values(MAX_SEED, 3, low, high, t, 2, r))
