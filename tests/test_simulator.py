@@ -14,6 +14,7 @@ from byzgrad import (
     make_redundant_ensemble,
     run,
 )
+from byzgrad.seeds import PURPOSE_ADVERSARY
 
 
 def redundant_scenario(
@@ -189,6 +190,27 @@ class TestDeterminism:
 
 
 class TestBulkAdversaryDraws:
+    @pytest.mark.parametrize("horizon", [3, 130], ids=["shorter_than_a_fill", "two_fills"])
+    def test_messages_equal_per_site_substreams(self, monkeypatch, horizon):
+        # oracle: a fresh numpy Philox at counter [0, t, sender, 0]; the
+        # message to `receiver` is row `receiver` of its (n, 2d) raw words
+        real = byzgrad.simulator.adversary_emit
+        seen = {}
+
+        def emit(strategy, t, sender, receiver, observed, stream):
+            message = real(strategy, t, sender, receiver, observed, stream)
+            seen[t, sender, receiver] = (observed.zeta, *(np.array(part) for part in message))
+            return message
+
+        monkeypatch.setattr(byzgrad.simulator, "adversary_emit", emit)
+        run(redundant_scenario(horizon=horizon, adversary=AdversaryStrategy(kind="random_in_box")))
+        assert len(seen) == (horizon + 1) * 2 * 8
+        for (t, sender, receiver), (zeta, estimate, grad) in seen.items():
+            philox = np.random.Philox(counter=[0, t, sender, 0], key=[7, PURPOSE_ADVERSARY])
+            u = (philox.random_raw((10, 6))[receiver] >> np.uint64(11)) * 2.0**-53
+            assert np.array_equal(estimate, -10.0 + 20.0 * u[:3])
+            assert np.array_equal(grad, -zeta + 2.0 * zeta * u[3:])
+
     def test_message_is_a_pure_function_of_its_site(self, monkeypatch):
         real = byzgrad.simulator.adversary_emit
         seen = {}
