@@ -60,7 +60,7 @@ def max_distance(honest_estimates: np.ndarray, x_star: Point) -> float:
     return float(np.linalg.norm(xs - np.asarray(x_star), axis=1).max())
 
 
-def check_zeta(cge_outputs: np.ndarray, zeta: float) -> bool:
-    """True iff every filtered gradient (row) has norm at most zeta (+ slack)."""
-    norms = [float(np.linalg.norm(h)) for h in cge_outputs]
-    return max(norms, default=0.0) <= zeta + ZETA_SLACK
+def check_zeta(cge_outputs: np.ndarray, zeta: float) -> tuple[float, bool]:
+    """(largest filtered-gradient (row) norm, whether it exceeds zeta + slack), one norm per row."""
+    norm_max = max((float(np.linalg.norm(h)) for h in cge_outputs), default=0.0)
+    return norm_max, not norm_max <= zeta + ZETA_SLACK  # NaN fails <=, so it exceeds

@@ -121,8 +121,6 @@ def eta(schedule: StepSchedule, t: int) -> float:
     """Step size at iteration t >= 0."""
     if t < 0:
         raise ValueError(f"iteration must be non-negative, got {t}")
-    if schedule.kind == "harmonic":
-        return schedule.eta0 / (t + 1)
     return schedule.eta0 / (t + 1) ** schedule.p
 
 

@@ -195,20 +195,20 @@ def _message_block(messages: list, d: int) -> tuple[np.ndarray, int | None]:
     raise failure
 
 
-def _admit(t: int, block: np.ndarray, sites: list[tuple[int, int]]) -> None:
+def _admit(t: int, block: np.ndarray, faulty_ids: list[int], honest_ids: list[int]) -> None:
     """Abort on the first faulty message with a coordinate beyond the admission bound.
 
     `block` holds the round's messages, or the first of them, as (m, 2,
-    d) estimate and gradient pairs, message k sent over `sites[k]`, a
-    (sender, receiver) pair; they are judged in that order, the estimate
-    before the gradient.
+    d) estimate and gradient pairs, message k from `faulty_ids[k // h]`
+    to `honest_ids[k % h]` for h receivers; they are judged in that order,
+    the estimate before the gradient.
     """
     # NaN fails the <= comparison, so one test covers both conditions
     ok = (np.abs(block) <= MESSAGE_COORD_LIMIT).all(axis=2)
     bad = ~ok.all(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
-        sender, receiver = sites[k]
+        sender, receiver = faulty_ids[k // len(honest_ids)], honest_ids[k % len(honest_ids)]
         name = "gradient" if ok[k, 0] else "estimate"
         raise SimulationAbort(
             t, f"{name} from agent {sender} to {receiver} exceeds the admission bound {MESSAGE_COORD_LIMIT:g}"
@@ -260,7 +260,6 @@ def run(scenario: Scenario) -> RunResult:
     d = scenario.d
     honest_rows = np.array(honest_ids, dtype=np.intp)
     faulty_rows = np.array(faulty_ids, dtype=np.intp)
-    sites = [(s, r) for s in faulty_ids for r in honest_ids]  # every faulty message, in admission order
     if isinstance(scenario.init, np.ndarray):
         estimates = scenario.init[honest_rows]
     else:
@@ -272,7 +271,7 @@ def run(scenario: Scenario) -> RunResult:
     filtered = np.empty_like(estimates)
     inbox_est = np.empty((len(honest_ids), scenario.n, d))
     inbox_grad = np.empty_like(inbox_est)
-    block = np.empty((len(sites), 2, d))  # the round's faulty messages, in admission order
+    block = np.empty((len(faulty_ids) * len(honest_ids), 2, d))  # the round's faulty messages, in admission order
 
     for t in range(horizon + 1):
         eta_t = eta(scenario.schedule, t)
@@ -285,7 +284,7 @@ def run(scenario: Scenario) -> RunResult:
 
         # phase 1: materialize every faulty message of round t, a sender's
         # at a time, into the block, then admit and route the block
-        if sites:
+        if faulty_ids:
             observed = ObservedRound(estimates, gradients, box, constants.zeta, scenario.adversary)
             for a, s in enumerate(faulty_ids):
                 messages = []
@@ -298,10 +297,9 @@ def run(scenario: Scenario) -> RunResult:
                 block[start : start + len(rows)] = rows
                 if wrong is not None:
                     # earlier messages are judged first, keeping the report in order
-                    _admit(t, block[: start + wrong], sites)
-                    s, r = sites[start + wrong]
-                    raise SimulationAbort(t, f"message {s}->{r} has wrong dimension")
-            _admit(t, block, sites)
+                    _admit(t, block[: start + wrong], faulty_ids, honest_ids)
+                    raise SimulationAbort(t, f"message {s}->{honest_ids[wrong]} has wrong dimension")
+            _admit(t, block, faulty_ids, honest_ids)
             # (sender, receiver) order to the inboxes' (receiver, sender)
             routed = block.reshape(len(faulty_ids), len(honest_ids), 2, d).swapaxes(0, 1)
             inbox_est[:, faulty_rows] = routed[:, :, 0]
@@ -320,7 +318,7 @@ def run(scenario: Scenario) -> RunResult:
 
         if t % stride == 0 or t == horizon:
             diameter_inf, diameter_l2 = consensus_diameter(estimates)
-            cge_norm_max = max(float(np.linalg.norm(h)) for h in filtered)
+            cge_norm_max, zeta_violated = check_zeta(filtered, constants.zeta)
             trace.append(
                 RoundTrace(
                     t=t,
@@ -330,7 +328,7 @@ def run(scenario: Scenario) -> RunResult:
                     v=lyapunov_v(estimates, x_star),
                     max_dist=max_distance(estimates, x_star),
                     cge_norm_max=cge_norm_max,
-                    zeta_violated=not check_zeta(filtered, constants.zeta),
+                    zeta_violated=zeta_violated,
                 )
             )
         if t == horizon:

@@ -69,12 +69,13 @@ class TestMaxDistance:
 
 class TestCheckZeta:
     def test_zero_gradients_pass(self):
-        assert check_zeta(np.zeros((2, 3)), 1.0)
+        assert check_zeta(np.zeros((2, 3)), 1.0) == (0.0, False)
 
     def test_constructed_violation(self):
         zeta = 2.0
-        assert not check_zeta(np.array([[2 * zeta, 0.0]]), zeta)
+        norm_max, violated = check_zeta(np.array([[1.0, 0.0], [2 * zeta, 0.0]]), zeta)
+        assert violated and norm_max == pytest.approx(2 * zeta)
 
     def test_slack_is_tight(self):
-        assert check_zeta(np.array([[1.0 + 5e-10]]), 1.0)
-        assert not check_zeta(np.array([[1.0 + 5e-9]]), 1.0)
+        assert not check_zeta(np.array([[1.0 + 5e-10]]), 1.0)[1]
+        assert check_zeta(np.array([[1.0 + 5e-9]]), 1.0)[1]
