@@ -18,7 +18,8 @@ so it goes through the file's own validation. A sweep reads the file
 once; a point's config error cites the line of that file, and an error
 in the swept value itself carries no line. A sweep over a key that
 BYZGRAD_SEED or --record-every also sets is refused before any point
-runs: the override would make every point the same scenario.
+runs: the override would make every point the same scenario. So is a
+sweep that lists one point twice, whose runs would share a directory.
 """
 
 import argparse
@@ -206,10 +207,15 @@ def cmd_run(args) -> int:
         raise ConfigError(
             f"--sweep {key}=... and {_OVERRIDE_SOURCES[key]} both set {key}; every point would run the same scenario"
         )
+    labels = [f"{key}={value}" for value in values]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            # YAML reads 1 and 01 alike, so a spelling can repeat a point too
+            raise ConfigError(f"--sweep {args.sweep} lists the point {label} twice; both would write one directory")
     text = read_scenario_file(args.scenario)
     read_scenario_mapping(text)  # a malformed file is one error, not one per point
     jobs = [
-        (text, str(out_root / f"{key}={value}"), {key: value, **overrides}, f"{key}={value}") for value in values
+        (text, str(out_root / label), {key: value, **overrides}, label) for label, value in zip(labels, values)
     ]
 
     if args.jobs > 1:

@@ -529,6 +529,14 @@ class TestSweep:
         assert err.startswith(f"error: --sweep {key}=") and source in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["seed=1,1", "seed=1,01"], ids=["repeated", "yaml_alias"])
+    def test_point_listed_twice_refused(self, sweep_base, tmp_path, capsys, spec):
+        out = tmp_path / "sweep"
+        assert main(["run", str(sweep_base), "-o", str(out), "--sweep", spec, "--jobs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --sweep {spec} lists the point seed=1 twice") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_refused(self, sweep_base, tmp_path, capsys, jobs):
         out = tmp_path / "sweep"
