@@ -167,6 +167,26 @@ class TestMakeRedundantEnsemble:
         for ca, cb in zip(a.costs, b.costs):
             assert np.array_equal(ca.A, cb.A) and np.array_equal(ca.b, cb.b)
 
+    def test_draws_are_pinned(self):
+        # Generator.uniform and .standard_normal are not held stable across numpy
+        # versions (NEP 19), so their stream is pinned here; 1e-12 passes the 2.2e-16
+        # that other OpenBLAS kernels move these entries, and fails a changed stream
+        ensemble = make_redundant_ensemble(n=2, f=0, d=3, x_star=np.zeros(3), seed=7, eig_min=0.5, eig_max=2.0)
+        pinned = [
+            [
+                [1.5202356618681887, -0.024575547914977083, -0.1209303302594372],
+                [-0.024575547914977083, 1.8086326488703275, 0.07123483061955692],
+                [-0.1209303302594372, 0.07123483061955692, 1.6181241259906383],
+            ],
+            [
+                [1.1566576434796403, 0.10345576893008007, -0.025240258740296853],
+                [0.10345576893008007, 0.9264991344465493, -0.05143087550828884],
+                [-0.025240258740296853, -0.05143087550828884, 1.2235844508158975],
+            ],
+        ]
+        for cost, A in zip(ensemble.costs, pinned, strict=True):
+            np.testing.assert_allclose(cost.A, A, rtol=0, atol=1e-12)
+
     def test_eigenvalues_within_spec(self):
         ensemble = make_redundant_ensemble(6, 1, 3, [0.0] * 3, seed=2, eig_min=0.5, eig_max=2.0)
         for cost in ensemble.costs:
