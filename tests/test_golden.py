@@ -7,11 +7,14 @@ be a pure refactor or speed-up must leave every digest here unchanged; a
 change that alters trajectories on purpose replaces them and says why.
 """
 
+import csv
 import hashlib
+import json
 
 import pytest
 
 from byzgrad.cli import main
+from byzgrad.metrics import ZETA_SLACK
 from byzgrad.scenario_io import build_template, dump_scenario
 
 TARGET = [10.0, 10.0, 10.0]
@@ -111,6 +114,15 @@ def test_trace_digest(name, run_case):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_summary_digest(name, run_case):
     assert sha256(run_case(name) / "summary.json") == SUMMARY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_zeta_columns_agree(name, run_case):
+    zeta = json.loads((run_case(name) / "summary.json").read_text())["zeta"]
+    with open(run_case(name) / "trace.csv", newline="") as handle:
+        for row in csv.DictReader(handle):
+            exceeds = float(row["cge_norm_max"]) > zeta + ZETA_SLACK
+            assert row["zeta_violated"] == ("true" if exceeds else "false"), row["t"]
 
 
 @pytest.mark.parametrize("args", sorted(GEN_DIGESTS))

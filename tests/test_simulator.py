@@ -448,6 +448,10 @@ class TestAdmissionGate:
         with pytest.raises(SimulationAbort, match="round 1: message 8->2 has wrong dimension"):
             self.run_with_messages(monkeypatch, {(1, 8, 2): bad})
 
+    def test_wrong_shape_of_a_later_sender_names_its_message(self, monkeypatch):
+        with pytest.raises(SimulationAbort, match="round 1: message 9->5 has wrong dimension"):
+            self.run_with_messages(monkeypatch, {(1, 9, 5): (np.zeros(3), np.zeros(4))})
+
     def test_message_of_plain_lists_is_admitted(self, monkeypatch):
         message = ([0.25, -0.5, 1.0], [2.0, 0.0, -3.0])
         inboxes = {}
