@@ -6,7 +6,9 @@ coordinates. V reaching zero is exactly "every honest agent sits at the
 solution", which makes it the natural convergence signal to record. The
 consensus diameters and the filtered-gradient norm bound ride along as
 diagnostics. Every function takes the honest agents' rows as one (h, d)
-array, ordered by agent id.
+array, ordered by agent id. check_zeta takes each filtered-gradient norm
+once and returns the largest with its verdict against zeta; the round
+engine records both and takes no norm itself.
 """
 
 from dataclasses import dataclass

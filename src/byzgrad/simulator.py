@@ -17,7 +17,9 @@ check over the block admits them in (sender, receiver) order, and one
 strided assignment per inbox writes them at (receiver, sender), where
 each receiver reads its own. Values that every faulty message of a round
 shares (the honest means and median, the colluding pull) are computed
-once per round, by the round's ObservedRound.
+once per round, by the round's ObservedRound. The engine takes no norm
+itself: a recorded row's largest filtered-gradient norm and its zeta
+verdict come from one metrics.check_zeta call.
 
 Nothing about the schedule, the metrics stride, or the adversary's
 strategy can leak randomness across consumers: all draws come from
