@@ -63,6 +63,6 @@ def max_distance(honest_estimates: np.ndarray, x_star: Point) -> float:
 
 
 def check_zeta(cge_outputs: np.ndarray, zeta: float) -> tuple[float, bool]:
-    """(largest filtered-gradient (row) norm, whether it exceeds zeta + slack), one norm per row."""
+    """The largest filtered-gradient (row) norm and whether it exceeds zeta + slack, from one norm per row."""
     norm_max = max((float(np.linalg.norm(h)) for h in cge_outputs), default=0.0)
     return norm_max, not norm_max <= zeta + ZETA_SLACK  # NaN fails <=, so it exceeds

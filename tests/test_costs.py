@@ -168,9 +168,9 @@ class TestMakeRedundantEnsemble:
             assert np.array_equal(ca.A, cb.A) and np.array_equal(ca.b, cb.b)
 
     def test_draws_are_pinned(self):
-        # Generator.uniform and .standard_normal are not held stable across numpy
-        # versions (NEP 19), so their stream is pinned here; 1e-12 passes the 2.2e-16
-        # that other OpenBLAS kernels move these entries, and fails a changed stream
+        # numpy does not hold Generator.uniform and .standard_normal stable across
+        # versions (NEP 19), so their stream is pinned here; other OpenBLAS kernels
+        # move these entries by up to 2.2e-16, well inside 1e-12
         ensemble = make_redundant_ensemble(n=2, f=0, d=3, x_star=np.zeros(3), seed=7, eig_min=0.5, eig_max=2.0)
         pinned = [
             [
