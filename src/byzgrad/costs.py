@@ -16,14 +16,17 @@ Constants derived from an ensemble of honest costs over a box X:
 For a quadratic, ||Ax - b|| is convex, so its maximum over the box is
 attained at a vertex. Up to ZETA_VERTEX_DIM_LIMIT dimensions zeta is
 exact: one sweep shared by all honest costs takes the vertices in blocks
-of 2^10, visits (cost, block) pairs in descending order of an upper bound
-on their squared gradient norms, and stops once every remaining bound
-lies below the largest norm found (by a margin that covers rounding). A
+of 2^10. Each block's squared norms split into three terms (a constant,
+a linear and a quadratic one in the block's low signs); from those the
+sweep bounds every (cost, block) pair, visits the pairs in descending
+order of the bound, stops once every remaining bound lies below the
+largest norm found, and skips a visited block whose three terms already
+put all of its norms below it (both by a margin that covers rounding). A
 block it evaluates is computed with the same gemm rows as a full 2^d
 enumeration, and the square root is taken once, on the maximum, so zeta
-has the bits of full enumeration; typical ensembles need a few blocks,
-while one whose vertices all tie still needs every vertex. Above the
-limit zeta is an analytic upper bound.
+has the bits of full enumeration; typical ensembles evaluate one to a
+few blocks, while one whose vertices all tie still needs every vertex.
+Above the limit zeta is an analytic upper bound.
 """
 
 import math
@@ -41,7 +44,7 @@ STATIONARITY_TOL = 1e-8    # gradient norm that counts as "vanishes"
 SINGULARITY_TOL = 1e-12    # smallest eigenvalue that counts as "invertible"
 ZETA_VERTEX_DIM_LIMIT = 20  # above this, 2^d vertex sweeps are off the table
 _BLOCK_DIM = 10             # the zeta sweep takes vertices in blocks of 2^10 sharing high coordinates
-_PRUNE_MARGIN = 1e-6        # relative slack before a block's norm bound may skip it
+_PRUNE_MARGIN = 1e-6        # relative slack before a block's norm bound or estimate may rule it out
 
 
 @dataclass(frozen=True)
@@ -250,56 +253,106 @@ def _max_gradient_norm_on_box(costs: list[QuadraticCost], xi: float) -> float:
 
     The vertices are swept in blocks of 2^L that share their d - L high
     coordinates (L = min(d, _BLOCK_DIM)); one block matrix is built and only
-    its high columns change. With the high part fixed, g = A_L v_L + c where
+    its high columns change. A block is evaluated exactly as a full
+    enumeration does (`V @ A.T - b`, then the row sums of g * g, here into
+    one reused buffer), so each of its squared norms has the same bits, and
+    the square root is taken once, on the maximum: sqrt is monotone and
+    correctly rounded, so that equals the maximum of the roots. With one
+    block (d <= _BLOCK_DIM) every cost's block is evaluated and nothing
+    else is computed.
+
+    With more blocks, fix the high part v_H; then g = A_L v_L + c with
     c = A_H v_H - b, and over the low signs v_L in {-xi, xi}^L
 
-        ||g||^2 = ||c||^2 + 2 c'A_L v_L + ||A_L v_L||^2
-               <= ||c||^2 + 2 xi ||A_L'c||_1 + xi^2 L sigma_max(A_L)^2.
+        ||g||^2 = ||c||^2 + 2 v_L'(A_L'c) + v_L'(A_L'A_L)v_L
+               <= ||c||^2 + 2 xi ||A_L'c||_1 + max over v_L of v_L'(A_L'A_L)v_L.
 
-    (cost, block) pairs are visited in descending order of this bound, and
-    the sweep stops at the first pair whose bound, times 1 + _PRUNE_MARGIN,
-    lies below the largest squared norm computed so far; every later pair's
-    bound is lower still. A block that is not skipped is evaluated exactly
-    as a full enumeration does (`V @ A.T - b`, then the row sums of g * g),
-    so each of its squared norms has the same bits, and the square root is
-    taken once, on the maximum: sqrt is monotone and correctly rounded, so
-    that equals the maximum of the roots.
+    The first two terms are computed for every (cost, block) pair from one
+    gemm per cost over the high coordinates, the third once per cost for all
+    2^L low sign vectors; its largest value, at most xi^2 L sigma_max(A_L)^2,
+    is the bound's third term. Pairs are visited in
+    descending order of the bound, and the sweep stops at the first pair
+    whose bound, times 1 + _PRUNE_MARGIN, lies below the largest squared
+    norm computed so far; every later pair's bound is lower still. A
+    visited block is first estimated: the three terms give all of its
+    squared norms at once, from one (2^L x L) gemv of the low signs against
+    A_L'c. The block is skipped when the largest estimate, plus
+    _PRUNE_MARGIN times the first (largest) bound, lies below the largest
+    squared norm computed so far. A NaN or inf never skips, and a bound
+    lost to overflow (NaN) is taken as inf.
 
-    Why rounding cannot make a skip drop the maximum. Let T be the exact
-    largest squared norm. Averaging over all vertices gives
-    T >= ||b||^2 + xi^2 ||A||_F^2, which bounds every term either side
-    computes by a small multiple of d T; so each computed squared norm and
-    each computed bound lies within eta T of its exact value, with eta of
-    order d^2 ulps (below 1e-11 for d <= 20), far under _PRUNE_MARGIN. The
-    block holding T has a bound of at least T (1 - eta), which times the
-    margin exceeds every computed norm, so it is never skipped, and no pair
-    ahead of it in the order is either. Any pair skipped after it is
+    Why rounding cannot make either rule drop the maximum. Let T be the
+    exact largest squared norm. Averaging over all vertices gives
+    T >= ||b||^2 + xi^2 ||A||_F^2, so every |b_i| and every |xi A_ij| is at
+    most sqrt(T); ||c||^2 <= T, since c is the gradient at the centre of the
+    block's low face; and every entry of xi^2 A_L'A_L, xi^2 A_L'A_H and
+    xi A_L'b is at most d T. Each term either side computes is therefore a
+    sum of a few dozen products bounded by a small multiple of d T, so each
+    computed squared norm, bound and estimate lies within eta T of its
+    exact value, with eta of order d^2 ulps (below 1e-11 for d <= 20), far
+    under _PRUNE_MARGIN. The block holding T has a bound of at least
+    T (1 - eta), which times the margin exceeds every computed norm, so the
+    sweep does not stop before it, and no pair ahead of it in the order
+    stops the sweep either; any pair the stop rule drops after it is
     compared with an incumbent of at least T (1 - eta), whose margin share
     covers the 2 eta T by which a computed norm in the pair may exceed the
-    computed bound. So a skipped vertex's computed squared norm never
-    exceeds the maximum the sweep returns.
+    computed bound. The skip's slack, _PRUNE_MARGIN times a largest bound
+    of at least T (1 - eta), likewise covers the 2 eta T between a block's
+    largest estimate and its largest computed norm. So neither rule ever
+    drops a vertex whose computed squared norm exceeds the maximum the
+    sweep returns, and the order among equal bounds cannot change it.
     """
     d = costs[0].dim
     low = min(d, _BLOCK_DIM)
+    v_low = _box_vertices(low, xi)
     block = np.zeros((1 << low, d))
-    block[:, :low] = _box_vertices(low, xi)
-    high = np.zeros((1 << (d - low), d))
-    high[:, low:] = _box_vertices(d - low, xi)
+    block[:, :low] = v_low
+    g = np.empty_like(block)
+
+    def exact(k: int) -> float:
+        np.matmul(block, costs[k].A.T, out=g)
+        np.subtract(g, costs[k].b, out=g)
+        np.multiply(g, g, out=g)
+        return float(g.sum(axis=1).max())
+
+    if low == d:
+        return math.sqrt(max(exact(k) for k in range(len(costs))))
+    high = _box_vertices(d - low, xi)
+    high_1 = np.concatenate([high.T, np.ones((1, len(high)))])  # column j: block j's v_H, then 1
     A = np.stack([cost.A for cost in costs])
-    a_low = A[:, :, :low]
-    c = high @ A.transpose(0, 2, 1) - np.stack([cost.b for cost in costs])[:, None, :]
-    sigma_sq = np.linalg.eigvalsh(a_low.transpose(0, 2, 1) @ a_low)[:, -1:]  # sigma_max(A_L)^2
-    bound = (c * c).sum(axis=2) + 2.0 * xi * np.abs(c @ a_low).sum(axis=2) + (xi * xi * low) * sigma_sq
+    affine = np.concatenate([A[:, :, low:], -np.stack([cost.b for cost in costs])[:, :, None]], axis=2)
+    a_low_t = A[:, :, :low].transpose(0, 2, 1)
+    lin_map = a_low_t @ affine  # A_L'c = lin_map[k] @ high_1[:, j]
+    gram = a_low_t @ A[:, :, :low]  # A_L'A_L
+    v_low_t = v_low.T.copy()
+    cc = np.empty((len(costs), len(high)))
+    bound = np.empty_like(cc)
+    quad = np.empty((len(costs), len(v_low)))
+    for k in range(len(costs)):  # one cost at a time: temporaries of (d x blocks), not (costs x d x blocks)
+        c = affine[k] @ high_1  # column j: c for block j
+        c *= c
+        c.sum(axis=0, out=cc[k])  # ||c||^2
+        lin = lin_map[k] @ high_1
+        np.abs(lin, out=lin).sum(axis=0, out=bound[k])  # ||A_L'c||_1
+        q = gram[k] @ v_low_t
+        q *= v_low_t
+        q.sum(axis=0, out=quad[k])  # v_L'(A_L'A_L)v_L for every low sign vector
+    bound *= 2.0 * xi
+    bound += cc + quad.max(axis=1, keepdims=True)
     bound[np.isnan(bound)] = np.inf  # a bound lost to overflow must not let its block be skipped
-    blocks = high.shape[0]
+    order = np.argsort(-bound, axis=None)
+    slack = _PRUNE_MARGIN * bound.flat[order[0]]
     best = 0.0
-    for pair in np.argsort(-bound, axis=None, kind="stable"):
-        k, j = divmod(int(pair), blocks)
+    for pair in order:
+        k, j = divmod(int(pair), len(high))
         if bound[k, j] * (1.0 + _PRUNE_MARGIN) < best:
             break
-        block[:, low:] = high[j, low:]
-        g = block @ costs[k].A.T - costs[k].b
-        best = max(best, float((g * g).sum(axis=1).max()))
+        estimate = (2.0 * (lin_map[k] @ high_1[:, j])) @ v_low_t
+        estimate += quad[k]
+        if estimate.max() + cc[k, j] + slack < best:
+            continue
+        block[:, low:] = high[j]
+        best = max(best, exact(k))
     return math.sqrt(best)
 
 
@@ -308,9 +361,10 @@ def spectral_constants(ensemble: CostEnsemble, f: int, box: Hypercube) -> Spectr
     """Compute (mu, lam, zeta, alpha) for an ensemble over a box.
 
     zeta is exact for d <= ZETA_VERTEX_DIM_LIMIT: a blocked vertex sweep
-    over all honest costs that skips blocks whose norm bound falls below
-    the maximum found, with the bits of evaluating every vertex (see
-    `_max_gradient_norm_on_box`). Above that it falls back to
+    over all honest costs that evaluates only the blocks whose norm bound
+    and per-vertex estimate do not fall below the maximum found, with the
+    bits of evaluating every vertex (see `_max_gradient_norm_on_box`).
+    Above that it falls back to
     (n-f) * max_i (lambda_max(A_i) sqrt(d) xi + ||b_i||), flagged via
     `zeta_exact = False`.
 

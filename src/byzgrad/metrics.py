@@ -11,6 +11,7 @@ once and returns the largest with its verdict against zeta; the round
 engine records both and takes no norm itself.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,10 @@ def max_distance(honest_estimates: np.ndarray, x_star: Point) -> float:
 
 
 def check_zeta(cge_outputs: np.ndarray, zeta: float) -> tuple[float, bool]:
-    """The largest filtered-gradient (row) norm and whether it exceeds zeta + slack, from one norm per row."""
-    norm_max = max((float(np.linalg.norm(h)) for h in cge_outputs), default=0.0)
+    """The largest filtered-gradient (row) norm and whether it exceeds zeta + slack, from one norm per row.
+
+    A NaN row makes the largest norm NaN, wherever it sits, so it always exceeds.
+    """
+    norms = [float(np.linalg.norm(h)) for h in cge_outputs]
+    norm_max = math.nan if any(map(math.isnan, norms)) else max(norms, default=0.0)
     return norm_max, not norm_max <= zeta + ZETA_SLACK  # NaN fails <=, so it exceeds

@@ -57,6 +57,18 @@ def _max_gradient_norm_on_box(cost: QuadraticCost, xi: float, chunk: int = 1 << 
     return best
 
 
+class CountedHessianReads:
+    """A cost whose Hessian reads are counted: the sweep reads .A once to stack it, then once per evaluated block."""
+
+    def __init__(self, cost, reads):
+        self.cost, self.dim, self.b, self.reads = cost, cost.dim, cost.b, reads
+
+    @property
+    def A(self):
+        self.reads.append(1)
+        return self.cost.A
+
+
 class TestQuadraticCost:
     def test_identity_hessian_gradient(self):
         cost = QuadraticCost(A=np.eye(2), b=np.zeros(2))
@@ -310,28 +322,66 @@ class TestSpectralConstants:
         d = 10
         cost = QuadraticCost(A=np.diag([1.0] * (d - 1) + [50.0]), b=np.full(d, 0.25))
         evaluated = []
-
-        class Counted:  # the sweep reads .A once per evaluated block, after stacking it once
-            dim, b = cost.dim, cost.b
-
-            @property
-            def A(self):
-                evaluated.append(1)
-                return cost.A
-
-        got = costs_module._max_gradient_norm_on_box([Counted()], 1.0)
+        got = costs_module._max_gradient_norm_on_box([CountedHessianReads(cost, evaluated)], 1.0)
         assert got == _max_gradient_norm_on_box(cost, 1.0)
         assert 1 <= len(evaluated) - 1 < 2 ** (d - 2) // 4
 
-    def test_block_whose_bound_overflows_is_evaluated(self):
-        # sigma_max(A)^2 overflows to a NaN bound, yet every squared norm on
-        # the small box is finite; the flat costs' finite bounds, 1 and then
-        # 0.25, must not end the sweep before the stiff cost is evaluated
-        stiff = QuadraticCost(A=1.0e155 * np.eye(2), b=np.zeros(2))
-        flat = [QuadraticCost(A=np.zeros((2, 2)), b=np.array([0.0, b])) for b in (1.0, 0.5)]
+    def test_estimates_skip_blocks_the_bounds_visit(self):
+        # a generated d = 14 ensemble at the default block size: every pair whose
+        # bound clearly exceeds the maximum is visited, yet few blocks are evaluated
+        d, xi = 14, 1.5
+        ensemble = make_redundant_ensemble(8, 0, d, np.full(d, 0.3), seed=1, eig_min=0.5, eig_max=2.0)
+        evaluated = []
+        honest = ensemble.honest_costs()
+        got = costs_module._max_gradient_norm_on_box([CountedHessianReads(c, evaluated) for c in honest], xi)
+        assert got == max(_max_gradient_norm_on_box(c, xi) for c in honest)
+        low = costs_module._BLOCK_DIM
+        v_low, v_high = costs_module._box_vertices(low, xi), costs_module._box_vertices(d - low, xi)
+        vertices = costs_module._box_vertices(d, xi)
+        top = max(float(((vertices @ c.A.T - c.b) ** 2).sum(axis=1).max()) for c in honest)
+        visited = 0  # the bound-ordered sweep stops only below the maximum, so these pairs are all visited
+        for cost in honest:
+            a_low, a_high = cost.A[:, :low], cost.A[:, low:]
+            quad_max = ((v_low @ (a_low.T @ a_low)) * v_low).sum(axis=1).max()
+            for v in v_high:
+                c = a_high @ v - cost.b
+                visited += c @ c + 2 * xi * np.abs(a_low.T @ c).sum() + quad_max > top * (1 + 1e-3)
+        assert 1 <= len(evaluated) - len(honest) < visited
+
+    @pytest.mark.parametrize("block_dim", [2, costs_module._BLOCK_DIM], ids=["block_dim_2", "block_dim_default"])
+    @pytest.mark.parametrize("seed", [4, 29, 93, 148, 169, 721, 822])
+    def test_near_tie_copies_equal_full_enumeration(self, seed, block_dim, monkeypatch):
+        # one cost and copies whose A or b sit an ulp away, so blocks of different
+        # costs tie within rounding. Among 1500 seeds, these are ones where a skip
+        # or a stop without its margin, or a skip that ends the sweep, returned
+        # a different zeta (a few in the last ulp)
+        monkeypatch.setattr(costs_module, "_BLOCK_DIM", block_dim)
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(3, 15))
+        m = rng.normal(size=(d, d))
+        A, b = m @ m.T, rng.normal(size=d) * 10.0 ** rng.uniform(-2.0, 2.0)
+        costs = [
+            QuadraticCost(A=A, b=b),
+            QuadraticCost(A=A * (1 + 2.0**-52), b=b),
+            QuadraticCost(A=A, b=b * (1 - 2.0**-53)),
+            QuadraticCost(A=A * (1 + 2.0**-52), b=b * (1 - 2.0**-53)),
+        ]
+        xi = 10.0 ** rng.uniform(-1.0, 1.0)
+        expected = max(_max_gradient_norm_on_box(c, xi) for c in costs)
+        for order in (costs, costs[::-1]):
+            assert costs_module._max_gradient_norm_on_box(order, xi) == expected
+
+    def test_block_whose_bound_overflows_is_evaluated(self, monkeypatch):
+        # A_L'A_L overflows to [[inf, -inf], [-inf, inf]], so the stiff cost's bound
+        # is NaN, yet every squared norm on the small box is finite; the flat costs'
+        # finite bounds, 1 and then 0.25, must not end the sweep before the stiff
+        # cost is evaluated
+        monkeypatch.setattr(costs_module, "_BLOCK_DIM", 2)  # two blocks per cost, so the bounds are used
+        stiff = QuadraticCost(A=1.0e155 * np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), b=np.zeros(3))
+        flat = [QuadraticCost(A=np.zeros((3, 3)), b=np.array([0.0, 0.0, b])) for b in (1.0, 0.5)]
         with np.errstate(over="ignore", invalid="ignore"):
             got = costs_module._max_gradient_norm_on_box([*flat, stiff], 1e-3)
-        assert got == _max_gradient_norm_on_box(stiff, 1e-3) == np.sqrt(2) * 1.0e152
+        assert got == _max_gradient_norm_on_box(stiff, 1e-3) == pytest.approx(3.0e152, rel=1e-15)
 
     def test_high_dim_falls_back_to_bound(self):
         d = 21

@@ -79,3 +79,12 @@ class TestCheckZeta:
     def test_slack_is_tight(self):
         assert not check_zeta(np.array([[1.0 + 5e-10]]), 1.0)[1]
         assert check_zeta(np.array([[1.0 + 5e-9]]), 1.0)[1]
+
+    @pytest.mark.parametrize("rows", [[[1.0, 0.0], [np.nan, 0.0]], [[np.nan, 0.0], [1.0, 0.0]]], ids=["nan_last", "nan_first"])
+    def test_nan_row_exceeds_in_either_order(self, rows):
+        norm_max, violated = check_zeta(np.array(rows), 2.0)
+        assert violated and np.isnan(norm_max)
+
+    def test_finite_rows_keep_their_norm_bits(self):
+        rows = np.random.default_rng(4).normal(size=(6, 5))
+        assert check_zeta(rows, 1e9) == (max(float(np.linalg.norm(r)) for r in rows), False)
